@@ -21,7 +21,7 @@ cmake --build "$BUILD_DIR" \
              restart_test chaos_test soak_test fast_path_test \
              chaos_proxy_test real_chaos_test mpsc_queue_test \
              transport_test wal_test ownership_test mobility_test \
-             dpaxos_cli -j"$(nproc)"
+             node_server_test dpaxos_cli -j"$(nproc)"
 
 # abort_on_error so the first report fails the gate instead of running on
 # poisoned state; detect_leaks covers the long-lived harness allocations.
@@ -48,6 +48,10 @@ export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1 ${ASAN_OPTIONS:-}"
 # construction over the outbound frame deque, partial-write walks).
 "$BUILD_DIR/tests/mpsc_queue_test"
 "$BUILD_DIR/tests/transport_test" --gtest_filter='TcpTransportTest.*'
+# Batched serving: waiters move from the open batch into the commit
+# callback and on to the read poll, and an inline submit failure runs
+# the callback inside the submit loop.
+"$BUILD_DIR/tests/node_server_test"
 # WAL + fault-injecting Env: recovery parses raw frame bytes off disk
 # (torn tails, flipped bits — classic OOB territory), the group-commit
 # path retains reply callbacks across fsyncs, and the truncation/bit-flip

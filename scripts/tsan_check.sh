@@ -17,7 +17,7 @@ cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=thread
 cmake --build "$BUILD_DIR" \
     --target shard_runner_test bench_simperf mpsc_queue_test \
              transport_test fast_path_test wal_test ownership_test \
-             -j"$(nproc)"
+             node_server_test -j"$(nproc)"
 
 # halt_on_error so the first race fails the gate instead of scrolling by.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -28,11 +28,15 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Multi-producer contention on the queue behind EventLoop::PostTask —
 # the reactor pool's inbound handoff rides entirely on its ordering.
 "$BUILD_DIR/tests/mpsc_queue_test"
-# Reactor threads vs the main loop: the delayed reply-flush timer races
+# Reactor threads vs the main loop: the end-of-round reply flush races
 # enqueue against the coalescing flush, and fast-path message fan-in
 # lands on the pool's handoff queue from every reactor at once.
 "$BUILD_DIR/tests/transport_test" --gtest_filter='*ReactorPool*'
 "$BUILD_DIR/tests/fast_path_test"
+# Batched serving: a reactor thread posts pipelined client requests to
+# the home loop while it commits them in shared slots and fans each
+# batch's replies back out through the pool.
+"$BUILD_DIR/tests/node_server_test"
 # WAL group commit: SyncThen callbacks scheduled through the event loop
 # vs the append path — single-threaded by design, but the death test and
 # simulator-driven batch release must stay clean under instrumentation.

@@ -24,6 +24,12 @@ namespace {
 volatile sig_atomic_t g_signal_received = 0;
 int g_signal_wakeup_fd = -1;
 
+// What a learn-reply page adds around each batch on the wire (slot,
+// value id, two lengths, the batch's count word) plus the page header's
+// share, rounded up: the batch cap leaves this much of each entry's
+// share of a frame free.
+constexpr uint64_t kBatchEnvelopeBytes = 64;
+
 void HandleStopSignal(int signo) {
   g_signal_received = signo;
   if (g_signal_wakeup_fd >= 0) {
@@ -42,6 +48,9 @@ NodeServer::NodeServer(NodeServerOptions options)
   DPAXOS_CHECK_LT(options_.node, options_.cluster.size());
   DPAXOS_CHECK(options_.zones > 0 &&
                options_.cluster.size() % options_.zones == 0);
+  const uint64_t page_share = options_.tcp.max_frame_bytes / kCatchUpPageSize;
+  DPAXOS_CHECK_GT(page_share, kBatchEnvelopeBytes);
+  batch_cap_bytes_ = page_share - kBatchEnvelopeBytes;
 }
 
 NodeServer::~NodeServer() = default;
@@ -91,6 +100,7 @@ Status NodeServer::Start() {
     // state machine consumes; the record value itself applies as a no-op.
     if (directory_.has_value()) ObserveOwnership(slot, value);
     applier_.OnDecided(slot, value);
+    NoteDecided(value);
   });
   replica_->set_snapshot_hooks(
       [this](SlotId* through) {
@@ -107,6 +117,11 @@ Status NodeServer::Start() {
         if (snap->through_slot != through) {
           return Status::Corruption("snapshot coverage mismatch");
         }
+        // An image the applier has already passed (the start-up catch-up
+        // racing live traffic, or a lagging peer) holds nothing new, and
+        // restoring it would roll the state back under a watermark that
+        // stays put: stale reads from then on.
+        if (through <= applier_.applied_watermark()) return Status::OK();
         Status restored = kv_.RestoreFull(snap->payload);
         if (!restored.ok()) return restored;
         applier_.FastForwardTo(through);
@@ -163,7 +178,6 @@ Status NodeServer::Start() {
     rp.max_frame_bytes = options_.tcp.max_frame_bytes;
     rp.num_nodes = options_.cluster.size();
     rp.seed = options_.seed;
-    rp.reply_flush_delay = options_.reply_flush_delay;
     reactors_ = std::make_unique<ReactorPool>(&loop_, rp);
     reactors_->set_wire_decoder([](std::string_view bytes) -> MessagePtr {
       Result<MessagePtr> r = DeserializeMessage(bytes);
@@ -223,62 +237,12 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
         }
         ++puts_since_sweep_;
       }
-      Transaction txn;
-      txn.id = ((static_cast<uint64_t>(options_.node) + 1) << 40) |
-               next_value_id_++;
-      txn.client_id = client_id;
-      txn.seq = req.request_id;
-      txn.ops.push_back(Operation::Put(req.key, req.value));
-      Value value = Value::Of(txn.id, EncodeBatch({txn}));
-      const uint64_t request_id = req.request_id;
-      replica_->SubmitOrForward(
-          std::move(value),
-          [this, conn, request_id](const Status& st, SlotId slot, Duration) {
-            ClientReply reply;
-            reply.request_id = request_id;
-            reply.status_code = static_cast<uint8_t>(st.code());
-            reply.value = st.ok() ? std::to_string(slot) : st.ToString();
-            reply.watermark = st.ok() ? slot : 0;
-            // Misdirected request in ownership mode: it was still
-            // forwarded and answered, but hint the client toward the
-            // partition's owner for its next operation.
-            if (directory_.has_value() && directory_->has_owner(0) &&
-                directory_->owner_node(0) != options_.node) {
-              reply.redirect = directory_->owner_node(0);
-            }
-            SendReply(conn, reply);
-          });
+      Enqueue(conn, client_id, req);
       return;
     }
-    case ClientOp::kGet: {
-      // Linearizable read: commit an empty-batch barrier through
-      // consensus and answer only after the local applier has crossed the
-      // barrier's slot. A dirty local read would serve stale state from a
-      // lagging follower after failover — exactly the violation the
-      // chaos checkers exist to catch.
-      Value barrier =
-          Value::Of(((static_cast<uint64_t>(options_.node) + 1) << 40) |
-                        next_value_id_++,
-                    EncodeBatch({}));
-      const uint64_t request_id = req.request_id;
-      std::string key = req.key;
-      replica_->SubmitOrForward(
-          std::move(barrier),
-          [this, conn, request_id, key = std::move(key)](
-              const Status& st, SlotId slot, Duration) mutable {
-            if (!st.ok()) {
-              ClientReply reply;
-              reply.request_id = request_id;
-              reply.status_code = static_cast<uint8_t>(st.code());
-              reply.value = st.ToString();
-              SendReply(conn, reply);
-              return;
-            }
-            AnswerReadAtSlot(conn, request_id, std::move(key), slot,
-                             loop_.Now() + 5 * kSecond);
-          });
+    case ClientOp::kGet:
+      Enqueue(conn, client_id, req);
       return;
-    }
     case ClientOp::kStats: {
       ClientReply reply;
       reply.request_id = req.request_id;
@@ -304,38 +268,127 @@ void NodeServer::SendReply(uint64_t conn, const ClientReply& reply) {
   }
 }
 
-void NodeServer::AnswerReadAtSlot(uint64_t conn, uint64_t request_id,
-                                  std::string key, SlotId slot,
-                                  Timestamp deadline) {
-  if (applier_.applied_watermark() >= slot) {
-    ClientReply reply;
-    reply.request_id = request_id;
-    std::optional<std::string> found = kv_.Get(key);
-    if (found.has_value()) {
-      reply.status_code = static_cast<uint8_t>(StatusCode::kOk);
-      reply.value = std::move(*found);
-    } else {
-      reply.status_code = static_cast<uint8_t>(StatusCode::kNotFound);
+void NodeServer::Enqueue(uint64_t conn, uint64_t client_id,
+                         const ClientRequest& req) {
+  // A Get rides as a zero-op transaction: it commits nothing, but its
+  // (client_id, seq) fills the client's dedup window like a Put's would.
+  const bool get = req.op == ClientOp::kGet;
+  Transaction txn;
+  txn.id = NextValueId();
+  txn.client_id = client_id;
+  txn.seq = req.request_id;
+  if (!get) txn.ops.push_back(Operation::Put(req.key, req.value));
+  const uint64_t bytes = EncodedSize(txn);
+  if (batches_.empty() || batches_.back().put_keys.count(req.key) > 0 ||
+      (!batches_.back().builder.empty() &&
+       batches_.back().builder.pending_bytes() + bytes > batch_cap_bytes_)) {
+    batches_.emplace_back(batch_cap_bytes_);
+  }
+  Batch& batch = batches_.back();
+  batch.builder.Add(txn);
+  if (!get) batch.put_keys.insert(req.key);
+  batch.waiters.push_back(
+      Waiter{conn, req.request_id, get, get ? req.key : std::string()});
+  SubmitBatches();
+}
+
+void NodeServer::SubmitBatches() {
+  const uint32_t window = std::max(options_.replica.max_inflight, 1u);
+  while (batches_inflight_ < window && !batches_.empty()) {
+    Batch batch = std::move(batches_.front());
+    batches_.pop_front();
+    ++batches_inflight_;
+    Value value = batch.builder.Take(NextValueId());
+    // The callback may run inline (a submit that fails at once), inside
+    // this loop: it only frees the window, and the loop goes on.
+    replica_->SubmitOrForward(
+        std::move(value),
+        [this, waiters = std::move(batch.waiters)](
+            const Status& st, SlotId slot, Duration) mutable {
+          --batches_inflight_;
+          AnswerBatch(std::move(waiters), st, slot);
+          ScheduleSubmit();
+        });
+  }
+}
+
+void NodeServer::ScheduleSubmit() {
+  if (submit_scheduled_ || batches_.empty()) return;
+  submit_scheduled_ = true;
+  // End of this loop round, not inline: the decide that completed a
+  // batch goes on to hand the freed slot to the replica's own queue
+  // (batches peers forwarded here), which an inline submit would jump.
+  loop_.Schedule(0, [this] {
+    submit_scheduled_ = false;
+    SubmitBatches();
+  });
+}
+
+void NodeServer::AnswerBatch(std::vector<Waiter> waiters, const Status& st,
+                             SlotId slot) {
+  // Misdirected requests in ownership mode were still forwarded and
+  // answered, but hint the client toward the partition's owner for its
+  // next operation.
+  const bool redirect = directory_.has_value() && directory_->has_owner(0) &&
+                        directory_->owner_node(0) != options_.node;
+  std::vector<Waiter> gets;
+  for (Waiter& w : waiters) {
+    if (w.get && st.ok()) {
+      gets.push_back(std::move(w));
+      continue;
     }
-    reply.watermark = applier_.applied_watermark();
-    SendReply(conn, reply);
+    ClientReply reply;
+    reply.request_id = w.request_id;
+    reply.status_code = static_cast<uint8_t>(st.code());
+    reply.value = st.ok() ? std::to_string(slot) : st.ToString();
+    reply.watermark = st.ok() ? slot : 0;
+    if (!w.get && redirect) reply.redirect = directory_->owner_node(0);
+    SendReply(w.conn, reply);
+  }
+  if (!gets.empty()) {
+    AnswerReadsAtSlot(std::move(gets), slot, loop_.Now() + 5 * kSecond);
+  }
+}
+
+void NodeServer::AnswerReadsAtSlot(std::vector<Waiter> gets, SlotId slot,
+                                   Timestamp deadline) {
+  // Linearizable read: the batch's slot was assigned after the Get
+  // arrived, so once the applier has crossed every slot below it the
+  // local state holds every write acknowledged before the Get was sent.
+  // A dirty local read would serve stale state from a lagging follower
+  // after failover — exactly the violation the chaos checkers exist to
+  // catch.
+  if (applier_.applied_watermark() >= slot) {
+    for (const Waiter& w : gets) {
+      ClientReply reply;
+      reply.request_id = w.request_id;
+      std::optional<std::string> found = kv_.Get(w.key);
+      if (found.has_value()) {
+        reply.status_code = static_cast<uint8_t>(StatusCode::kOk);
+        reply.value = std::move(*found);
+      } else {
+        reply.status_code = static_cast<uint8_t>(StatusCode::kNotFound);
+      }
+      reply.watermark = applier_.applied_watermark();
+      SendReply(w.conn, reply);
+    }
     return;
   }
   if (loop_.Now() >= deadline) {
-    // The applier never crossed the barrier (log hole, lost decide
-    // traffic): let the client fail over to a healthier replica.
-    ClientReply reply;
-    reply.request_id = request_id;
-    reply.status_code = static_cast<uint8_t>(StatusCode::kTimedOut);
-    reply.value = "read barrier not applied";
-    SendReply(conn, reply);
+    // The applier never crossed the slot (log hole, lost decide
+    // traffic): let the clients fail over to a healthier replica.
+    for (const Waiter& w : gets) {
+      ClientReply reply;
+      reply.request_id = w.request_id;
+      reply.status_code = static_cast<uint8_t>(StatusCode::kTimedOut);
+      reply.value = "read barrier not applied";
+      SendReply(w.conn, reply);
+    }
     return;
   }
   loop_.Schedule(2 * kMillisecond,
-                 [this, conn, request_id, key = std::move(key), slot,
-                  deadline]() mutable {
-                   AnswerReadAtSlot(conn, request_id, std::move(key), slot,
-                                    deadline);
+                 [this, gets = std::move(gets), slot, deadline]() mutable {
+                   AnswerReadsAtSlot(std::move(gets), slot, deadline);
                  });
 }
 
@@ -361,23 +414,53 @@ void NodeServer::StartCatchUp() {
 
 void NodeServer::ScheduleCompactionSweep() {
   loop_.Schedule(options_.compaction_interval, [this] {
-    const SlotId watermark = applier_.applied_watermark();
-    const uint64_t retained = options_.replica.compaction_retained_suffix;
-    if (watermark > retained) {
-      Status st = replica_->Compact(watermark - retained);
-      if (!st.ok() && !st.IsFailedPrecondition()) {
-        DPAXOS_WARN("compaction failed: " << st.ToString());
-      }
-      if (st.ok() && wal_ != nullptr) {
-        // The log prefix just shrank; fold the WAL down to full images
-        // so recovery time tracks the live state, not history.
-        Status ck = wal_->Checkpoint();
-        if (!ck.ok()) {
-          DPAXOS_WARN("wal checkpoint failed: " << ck.ToString());
-        }
-      }
-    }
+    CompactLog();
     ScheduleCompactionSweep();
+  });
+}
+
+void NodeServer::CompactLog() {
+  const SlotId watermark = applier_.applied_watermark();
+  const uint64_t retained = options_.replica.compaction_retained_suffix;
+  if (watermark <= retained) return;
+  Status st = replica_->Compact(watermark - retained);
+  if (!st.ok()) {
+    if (!st.IsFailedPrecondition()) {
+      DPAXOS_WARN("compaction failed: " << st.ToString());
+    }
+    return;
+  }
+  decided_bytes_since_compaction_ = 0;
+  if (wal_ != nullptr) {
+    // The log prefix just shrank; fold the WAL down to full images so
+    // recovery time tracks the live state, not history.
+    Status ck = wal_->Checkpoint();
+    if (!ck.ok()) {
+      DPAXOS_WARN("wal checkpoint failed: " << ck.ToString());
+    }
+  }
+}
+
+void NodeServer::NoteDecided(const Value& value) {
+  if (!options_.replica.enable_compaction) return;
+  // Until compacted, every decided value sits in the decided log and
+  // the accepted log; under load that outgrows the state itself.
+  decided_bytes_since_compaction_ += value.payload.size();
+  if (compaction_posted_ || decided_bytes_since_compaction_ <=
+                                replica_->acceptor().snapshot_bytes().size()) {
+    return;
+  }
+  if (applier_.applied_watermark() <=
+      replica_->log_start() + options_.replica.compaction_retained_suffix) {
+    return;  // nothing past the retained suffix to release yet
+  }
+  compaction_posted_ = true;
+  // Posted, not run here: this callback sits in the middle of the
+  // replica's commit path, and a compaction (a full snapshot, plus two
+  // fsyncs in WAL mode) would hold up that commit's ack and decide.
+  loop_.PostTask([this] {
+    compaction_posted_ = false;
+    CompactLog();
   });
 }
 

@@ -16,12 +16,19 @@
 // so Start() schedules CatchUpViaSnapshot from its peers — over real
 // sockets — which is exactly how a killed-and-restarted process rejoins
 // (tests/real_cluster_test.cc proves the full cycle).
+//
+// Client Puts and Gets are batched, self-clocked: at most
+// replica.max_inflight batches are outstanding, every request arriving
+// meanwhile joins the open batch, and each commit answers its batch and
+// submits the next. An idle node proposes a batch of one at once.
 #ifndef DPAXOS_HARNESS_NODE_SERVER_H_
 #define DPAXOS_HARNESS_NODE_SERVER_H_
 
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +46,7 @@
 #include "smr/log_applier.h"
 #include "storage/env.h"
 #include "storage/wal.h"
+#include "txn/batch.h"
 
 namespace dpaxos {
 
@@ -60,7 +68,9 @@ struct NodeServerOptions {
   bool catchup_on_start = true;
   Duration catchup_delay = 300 * kMillisecond;
   /// Periodic Compact() sweep; 0 disables. Requires
-  /// replica.enable_compaction.
+  /// replica.enable_compaction, which on its own also compacts whenever
+  /// the payload decided since the last compaction outgrows the last
+  /// snapshot (the sweep covers nodes that go idle).
   Duration compaction_interval = 0;
   /// Anti-entropy: when the applied watermark makes no progress across
   /// one interval, pull decided entries from a peer (rotating). This is
@@ -72,9 +82,6 @@ struct NodeServerOptions {
   /// net/tcp/reactor_pool.h). 0 = single-threaded: every socket lives on
   /// the replica's own loop, exactly the pre-multi-reactor behavior.
   uint32_t reactors = 0;
-  /// Reply-batch hold time forwarded to the reactor pool (ignored when
-  /// reactors == 0); see ReactorPoolOptions::reply_flush_delay.
-  Duration reply_flush_delay = 0;
   /// WAL mode (real durability, storage/wal.h): non-empty = open an
   /// acceptor write-ahead log in this directory. Every promise/accept/
   /// fast-vote reply then waits for the group-commit fdatasync, and a
@@ -150,17 +157,57 @@ class NodeServer {
   std::string StatsString() const;
 
  private:
+  /// A client request waiting on the batch it joined.
+  struct Waiter {
+    uint64_t conn = 0;
+    uint64_t request_id = 0;
+    bool get = false;
+    std::string key;  ///< Gets only: the key read once the batch commits
+  };
+  /// Client requests that will share one consensus slot.
+  struct Batch {
+    explicit Batch(uint64_t cap_bytes) : builder(cap_bytes) {}
+    BatchBuilder builder;
+    std::vector<Waiter> waiters;
+    std::unordered_set<std::string> put_keys;
+  };
+
   void OnClientRequest(uint64_t conn, uint64_t client_id,
                        const ClientRequest& req);
+  /// Add a Put or Get to the open batch, then submit what the window
+  /// allows. A request starts a new batch when its key already has a
+  /// Put in the open one, or when it would push the batch past
+  /// batch_cap_bytes_; so commit order is arrival order.
+  void Enqueue(uint64_t conn, uint64_t client_id, const ClientRequest& req);
+  /// Submit queued batches while fewer than replica.max_inflight are
+  /// outstanding.
+  void SubmitBatches();
+  /// After a batch completes: SubmitBatches() at the end of this loop
+  /// round.
+  void ScheduleSubmit();
+  /// Commit callback of one batch: Puts are answered with the slot,
+  /// Gets once the applier has crossed every slot below it.
+  void AnswerBatch(std::vector<Waiter> waiters, const Status& st, SlotId slot);
   /// Route a reply to whoever owns the connection: reactor tokens go to
   /// the pool, plain ids to the transport.
   void SendReply(uint64_t conn, const ClientReply& reply);
-  /// Serve a read once the local applier reaches `slot` (the read
-  /// barrier's commit position); polls the applier until `deadline`.
-  void AnswerReadAtSlot(uint64_t conn, uint64_t request_id, std::string key,
-                        SlotId slot, Timestamp deadline);
+  /// Serve a batch's reads once the local applier reaches `slot` (the
+  /// batch's commit position); polls the applier until `deadline`.
+  void AnswerReadsAtSlot(std::vector<Waiter> gets, SlotId slot,
+                         Timestamp deadline);
+  uint64_t NextValueId() {
+    return ((static_cast<uint64_t>(options_.node) + 1) << 40) |
+           next_value_id_++;
+  }
   void StartCatchUp();
   void ScheduleCompactionSweep();
+  /// Compact the log behind the applied watermark, keeping
+  /// compaction_retained_suffix slots (then checkpoint the WAL).
+  void CompactLog();
+  /// Decide-callback tap: post a CompactLog() once the payload decided
+  /// since the last compaction outgrows the last snapshot, so the log
+  /// copies a busy node holds stay near one snapshot's size.
+  void NoteDecided(const Value& value);
   void ScheduleAntiEntropySweep();
   /// Ownership mode: decide-callback tap that feeds the directory (and
   /// the forwarding hint) from decided transfer records.
@@ -190,6 +237,14 @@ class NodeServer {
   KvStateMachine kv_;
   LogApplier applier_{&kv_};
   uint64_t next_value_id_ = 1;
+  /// Batches not yet submitted; back() is the open one.
+  std::deque<Batch> batches_;
+  uint32_t batches_inflight_ = 0;
+  bool submit_scheduled_ = false;
+  /// A catch-up page of kCatchUpPageSize batches fits one frame.
+  uint64_t batch_cap_bytes_ = 0;
+  uint64_t decided_bytes_since_compaction_ = 0;
+  bool compaction_posted_ = false;
   uint64_t catchups_completed_ = 0;
   SlotId last_sweep_watermark_ = 0;
   uint64_t sweep_count_ = 0;

@@ -109,10 +109,6 @@ Result<RealnetModeResult> RunMode(const RealnetBenchOptions& options,
     copts.extra_args.push_back("--reactors=" +
                                std::to_string(options.reactors));
   }
-  if (options.reply_flush_us > 0) {
-    copts.extra_args.push_back("--reply-flush-us=" +
-                               std::to_string(options.reply_flush_us));
-  }
   if (cell.fast_path) copts.extra_args.push_back("--fast-path");
   if (cell.durable) {
     copts.data_dir_base = cell.data_dir_base;

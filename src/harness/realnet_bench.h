@@ -36,10 +36,6 @@ struct RealnetBenchOptions {
   double rate = 0;
   /// Reactor threads per server process (passed as --reactors).
   uint32_t reactors = 2;
-  /// Reply-batch hold time in microseconds (passed as --reply-flush-us
-  /// when nonzero); widens the writev coalescing window, see
-  /// docs/perf.md.
-  uint32_t reply_flush_us = 0;
   /// Add the edge-write comparison cells: the same open-loop load aimed
   /// at a NON-leader node, once classic (forwarded to the leader) and
   /// once with --fast-path (origin drives the fast quorum directly).

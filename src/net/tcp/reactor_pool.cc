@@ -264,12 +264,10 @@ void ReactorPool::SendClientReply(uint64_t conn_token,
 void ReactorPool::ScheduleReplyFlush() {
   if (reply_flush_scheduled_) return;
   reply_flush_scheduled_ = true;
-  // Default 0-delay: fires at the end of the current home dispatch round,
-  // so all replies produced in the round cross to each reactor as ONE
-  // task. A tunable delay holds the batch open across rounds, trading
-  // reply latency for wider writev coalescing (options_.reply_flush_delay).
+  // 0-delay: fires at the end of the current home dispatch round, so all
+  // replies produced in the round cross to each reactor as ONE task.
   std::shared_ptr<bool> alive = alive_;
-  home_->Schedule(options_.reply_flush_delay, [this, alive]() {
+  home_->Schedule(0, [this, alive]() {
     if (!*alive) return;
     reply_flush_scheduled_ = false;
     for (size_t i = 0; i < pending_replies_.size(); ++i) {

@@ -47,13 +47,6 @@ struct ReactorPoolOptions {
   /// peers — client-only pools).
   size_t num_nodes = 0;
   uint64_t seed = 1;
-  /// Extra hold time before the staged replies cross to the reactors.
-  /// 0 flushes at the end of the current home dispatch round (lowest
-  /// latency, but under closed-loop load each round often carries a
-  /// single reply, so writev coalescing gets nothing to merge). A small
-  /// delay (tens of microseconds) widens the coalescing window across
-  /// rounds at that much added reply latency; see docs/perf.md.
-  Duration reply_flush_delay = 0;
 };
 
 /// Aggregated pool counters (one snapshot across all reactors).

@@ -1665,11 +1665,6 @@ void Replica::ClearFastSlots() {
 // -----------------------------------------------------------------------
 // Learner catch-up, log truncation and snapshots
 
-namespace {
-// Entries shipped per learn-reply page.
-constexpr uint32_t kCatchUpPageSize = 256;
-}  // namespace
-
 void Replica::CatchUpFrom(NodeId peer, StatusCallback cb) {
   CatchUpFrom(std::vector<NodeId>{peer}, std::move(cb));
 }

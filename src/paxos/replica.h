@@ -38,6 +38,11 @@
 
 namespace dpaxos {
 
+/// Decided entries shipped per learn-reply page during catch-up. Hosts
+/// that pack many commands into one value cap the value so a full page
+/// still fits one transport frame.
+inline constexpr uint32_t kCatchUpPageSize = 256;
+
 /// \brief Per-replica protocol counters (observability; see
 /// Replica::counters). All monotonically increasing.
 struct ProtocolCounters {

@@ -550,19 +550,18 @@ TEST_F(TcpTransportTest, HostileLengthPrefixClosesConnectionNotProcess) {
   close(fd.value());
 }
 
-// --- ReactorPool: reply batching with a tunable flush delay ------------
+// --- ReactorPool: reply batching ---------------------------------------
 //
-// A nonzero reply_flush_delay holds each home round's replies open so
-// later rounds can join the same writev window. The delay must never
-// reorder or drop replies on a connection: this cell pushes a burst of
-// client requests through a delayed pool and checks every reply comes
-// back exactly once, in request order.
+// Replies staged on the home loop cross to the reactor once per dispatch
+// round, as one task per reactor. That batching must never reorder or
+// drop replies on a connection: this cell pushes a burst of client
+// requests through the pool and checks every reply comes back exactly
+// once, in request order.
 TEST_F(TcpTransportTest, ReactorPoolDelayedFlushPreservesReplyOrder) {
   constexpr int kRequests = 200;
   EventLoop home(16);
   ReactorPoolOptions options;
   options.reactors = 1;
-  options.reply_flush_delay = 2 * kMillisecond;
   ReactorPool pool(&home, options);
   pool.set_node_message_handler([](NodeId, MessagePtr) {});
   pool.set_client_request_handler(

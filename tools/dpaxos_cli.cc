@@ -114,9 +114,6 @@ struct CliOptions {
   // (which defaults to 2 when the flag is absent).
   uint32_t reactors = 0;
   bool reactors_set = false;
-  /// Reply-batch hold time for the reactor pool (--serve and realnet
-  /// children); 0 keeps the legacy end-of-round flush.
-  Duration reply_flush = 0;
 
   // --experiment=realchaos only.
   uint32_t soak_connections = 0;
@@ -175,8 +172,6 @@ void Usage() {
       "                         population that moves zones mid-run,\n"
       "                         static-leader vs --ownership adaptive\n"
       "  --reactors=N           reactor threads per node (default 2)\n"
-      "  --reply-flush-us=US    reactor reply-batch hold time (0 = flush\n"
-      "                         each dispatch round; see docs/perf.md)\n"
       "  --logdir=DIR           per-node server logs (default: inherit)\n"
       "  --out=PATH             JSON output (default BENCH_realnet.json)\n"
       "realchaos experiment (proxied cluster + nemesis + checkers):\n"
@@ -263,8 +258,6 @@ bool ParseArgImpl(const std::string& arg, CliOptions* o) {
     o->leases = true;
   } else if (arg == "--fast-path") {
     o->fast_path = true;
-  } else if (value_of("--reply-flush-us", &v)) {
-    o->reply_flush = std::stoull(v) * kMicrosecond;
   } else if (value_of("--seed", &v)) {
     o->seed = std::stoull(v);
   } else if (value_of("--schedule", &v)) {
@@ -598,7 +591,6 @@ int RunServe(const CliOptions& o, ProtocolMode mode) {
   server.catchup_delay = o.catchup_delay;
   server.compaction_interval = o.compaction_interval;
   server.reactors = o.reactors;
-  server.reply_flush_delay = o.reply_flush;
   server.replica.enable_compaction = o.compaction_interval > 0;
   server.replica.compaction_retained_suffix = o.compaction_retain;
   server.replica.enable_fast_path = o.fast_path;
@@ -701,7 +693,6 @@ int RunRealnetCli(const CliOptions& o) {
   bench.pipeline = o.pipeline;
   bench.rate = o.rate;
   if (o.reactors_set) bench.reactors = o.reactors;
-  bench.reply_flush_us = static_cast<uint32_t>(o.reply_flush / kMicrosecond);
   bench.json_path = o.out_set ? o.out : "BENCH_realnet.json";
   bench.log_dir = o.log_dir;
   bench.data_dir_base = o.data_dir;  // "" = temp dir for the durable cell
