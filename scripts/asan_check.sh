@@ -45,7 +45,8 @@ export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$BUILD_DIR/tests/real_chaos_test" --gtest_filter='*Failover*'
 # Serving-path plumbing: the MPSC queue behind PostTask (node lifetime
 # across producer/consumer threads) and the writev gather path (iovec
-# construction over the outbound frame deque, partial-write walks).
+# construction over the outbound frame deque, partial-write walks) for
+# peer frames and client replies alike.
 "$BUILD_DIR/tests/mpsc_queue_test"
 "$BUILD_DIR/tests/transport_test" --gtest_filter='TcpTransportTest.*'
 # Batched serving: waiters move from the open batch into the commit

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Realnet perf smoke: one `dpaxos_cli --experiment=realnet` pass with the
-# open-loop async driver against multi-reactor nodes, gated on two
+# open-loop async driver against a real cluster, gated on two
 # regressions the unit lane can't see:
 #
 #   1. a throughput floor (ops/s per mode) — catches the serving path
@@ -45,7 +45,6 @@ LOG="$SMOKE_OUT_DIR/realnet.out"
   --requests="$REQUESTS" \
   --connections=2 \
   --pipeline=64 \
-  --reactors=2 \
   --seed=7 \
   --logdir="$SMOKE_OUT_DIR" \
   --out="$OUT_JSON" | tee "$LOG"

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the shard-parallel runner.
 #
-# Builds the repo with -DDPAXOS_SANITIZE=thread and runs the two targets
-# that exercise real worker threads: shard_runner_test (pool mechanics +
-# thread-count invariance) and the sharded bench smoke. Any data race in
-# the ShardSet claim loop, the counter fold-back, or a shard body that
-# leaks shared state fails the script.
+# Builds the repo with -DDPAXOS_SANITIZE=thread and runs the targets
+# that exercise real threads: shard_runner_test (pool mechanics +
+# thread-count invariance), the sharded bench smoke, the MPSC queue and
+# the chaos proxy, plus a few single-threaded targets kept instrumented.
+# Any data race in the ShardSet claim loop, the counter fold-back, a
+# shard body that leaks shared state or a cross-thread post fails the
+# script.
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -16,7 +18,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=thread
 cmake --build "$BUILD_DIR" \
     --target shard_runner_test bench_simperf mpsc_queue_test \
-             transport_test fast_path_test wal_test ownership_test \
+             chaos_proxy_test fast_path_test wal_test ownership_test \
              node_server_test -j"$(nproc)"
 
 # halt_on_error so the first race fails the gate instead of scrolling by.
@@ -25,17 +27,18 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/shard_runner_test"
 "$BUILD_DIR/bench/bench_simperf" --smoke --shards=4 --threads=4 \
     --out="$BUILD_DIR/BENCH_simperf_tsan_smoke.json"
-# Multi-producer contention on the queue behind EventLoop::PostTask —
-# the reactor pool's inbound handoff rides entirely on its ordering.
+# Multi-producer contention on the queue behind EventLoop::PostTask.
 "$BUILD_DIR/tests/mpsc_queue_test"
-# Reactor threads vs the main loop: the end-of-round reply flush races
-# enqueue against the coalescing flush, and fast-path message fan-in
-# lands on the pool's handoff queue from every reactor at once.
-"$BUILD_DIR/tests/transport_test" --gtest_filter='*ReactorPool*'
+# The one PostTask user that crosses threads: a test thread adds and
+# removes fault rules and cuts links while the proxy's relay thread
+# forwards frames through them.
+"$BUILD_DIR/tests/chaos_proxy_test"
+# Fast-path commits: vote and deferred-ack bookkeeping that retains
+# callbacks across rounds (simulator-driven, single-threaded by design).
 "$BUILD_DIR/tests/fast_path_test"
-# Batched serving: a reactor thread posts pipelined client requests to
-# the home loop while it commits them in shared slots and fans each
-# batch's replies back out through the pool.
+# Batched serving: pipelined client requests commit in shared slots and
+# each batch's replies fan back out, all on the node's one loop thread;
+# run instrumented so any thread a later change adds surfaces here.
 "$BUILD_DIR/tests/node_server_test"
 # WAL group commit: SyncThen callbacks scheduled through the event loop
 # vs the append path — single-threaded by design, but the death test and

@@ -31,8 +31,6 @@ std::string PerfCounters::ToString() const {
       << " malformed=" << tcp_malformed_frames
       << " writev_calls=" << tcp_writev_calls
       << " frames_coalesced=" << tcp_frames_coalesced << "\n"
-      << "reactor: rounds_busy=" << reactor_rounds_busy
-      << " rounds_idle=" << reactor_rounds_idle << "\n"
       << "wal: appends=" << wal_appends << " bytes=" << wal_bytes
       << " fsyncs=" << wal_fsyncs
       << " torn_tail_truncations=" << wal_torn_tail_truncations

@@ -65,8 +65,6 @@ namespace dpaxos {
   X(tcp_malformed_frames)             \
   X(tcp_writev_calls)                 \
   X(tcp_frames_coalesced)             \
-  X(reactor_rounds_busy)              \
-  X(reactor_rounds_idle)              \
   X(wal_appends)                      \
   X(wal_bytes)                        \
   X(wal_fsyncs)                       \
@@ -151,14 +149,10 @@ struct PerfCounters {
   /// frame (counted as batch_size - 1 per syscall, mirroring the sim
   /// transport's deliveries_coalesced).
   uint64_t tcp_frames_coalesced = 0;
-  /// Reactor-thread poll rounds that dispatched work vs. slept (the
-  /// busy-vs-idle split for multi-reactor NodeServers).
-  uint64_t reactor_rounds_busy = 0;
-  uint64_t reactor_rounds_idle = 0;
 
   // --- acceptor write-ahead log (src/storage/wal.*) --------------------
   // Mirrored from WalStats by the NodeServer stats sweep so WAL activity
-  // shows up alongside the tcp/reactor counters in --serve stats.
+  // shows up alongside the tcp counters in --serve stats.
   uint64_t wal_appends = 0;  ///< logical records journaled
   uint64_t wal_bytes = 0;    ///< framed bytes appended
   uint64_t wal_fsyncs = 0;   ///< fdatasync calls (group commits)

@@ -172,30 +172,6 @@ Status NodeServer::Start() {
         OnClientRequest(conn, client_id, req);
       });
 
-  if (options_.reactors > 0) {
-    ReactorPoolOptions rp;
-    rp.reactors = options_.reactors;
-    rp.max_frame_bytes = options_.tcp.max_frame_bytes;
-    rp.num_nodes = options_.cluster.size();
-    rp.seed = options_.seed;
-    reactors_ = std::make_unique<ReactorPool>(&loop_, rp);
-    reactors_->set_wire_decoder([](std::string_view bytes) -> MessagePtr {
-      Result<MessagePtr> r = DeserializeMessage(bytes);
-      return r.ok() ? r.value() : nullptr;
-    });
-    // Node frames are wire-decoded on the reactor; the home-loop handler
-    // reinjects them so the replica sees the usual transport delivery.
-    reactors_->set_node_message_handler([this](NodeId from, MessagePtr msg) {
-      transport_->InjectDelivery(from, msg);
-    });
-    reactors_->set_client_request_handler(
-        [this](uint64_t conn, uint64_t client_id, const ClientRequest& req) {
-          OnClientRequest(conn, client_id, req);
-        });
-    reactors_->Start();
-    transport_->set_accept_handoff([this](int fd) { reactors_->Adopt(fd); });
-  }
-
   if (options_.ownership) {
     directory_.emplace(/*num_partitions=*/1);
     access_stats_.emplace(options_.zones, options_.placement_stats_half_life);
@@ -248,7 +224,7 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
       reply.request_id = req.request_id;
       reply.status_code = static_cast<uint8_t>(StatusCode::kOk);
       reply.value = StatsString();
-      SendReply(conn, reply);
+      transport_->SendClientReply(conn, reply);
       return;
     }
   }
@@ -257,15 +233,7 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
   ClientReply reply;
   reply.request_id = req.request_id;
   reply.status_code = static_cast<uint8_t>(StatusCode::kInvalidArgument);
-  SendReply(conn, reply);
-}
-
-void NodeServer::SendReply(uint64_t conn, const ClientReply& reply) {
-  if (reactors_ != nullptr && IsReactorConnToken(conn)) {
-    reactors_->SendClientReply(conn, reply);
-  } else {
-    transport_->SendClientReply(conn, reply);
-  }
+  transport_->SendClientReply(conn, reply);
 }
 
 void NodeServer::Enqueue(uint64_t conn, uint64_t client_id,
@@ -343,7 +311,7 @@ void NodeServer::AnswerBatch(std::vector<Waiter> waiters, const Status& st,
     reply.value = st.ok() ? std::to_string(slot) : st.ToString();
     reply.watermark = st.ok() ? slot : 0;
     if (!w.get && redirect) reply.redirect = directory_->owner_node(0);
-    SendReply(w.conn, reply);
+    transport_->SendClientReply(w.conn, reply);
   }
   if (!gets.empty()) {
     AnswerReadsAtSlot(std::move(gets), slot, loop_.Now() + 5 * kSecond);
@@ -370,7 +338,7 @@ void NodeServer::AnswerReadsAtSlot(std::vector<Waiter> gets, SlotId slot,
         reply.status_code = static_cast<uint8_t>(StatusCode::kNotFound);
       }
       reply.watermark = applier_.applied_watermark();
-      SendReply(w.conn, reply);
+      transport_->SendClientReply(w.conn, reply);
     }
     return;
   }
@@ -382,7 +350,7 @@ void NodeServer::AnswerReadsAtSlot(std::vector<Waiter> gets, SlotId slot,
       reply.request_id = w.request_id;
       reply.status_code = static_cast<uint8_t>(StatusCode::kTimedOut);
       reply.value = "read barrier not applied";
-      SendReply(w.conn, reply);
+      transport_->SendClientReply(w.conn, reply);
     }
     return;
   }
@@ -747,27 +715,8 @@ std::string NodeServer::StatsString() const {
   out += " tcp_frames_dropped=" + std::to_string(ts.frames_dropped);
   out += " tcp_malformed_frames=" + std::to_string(ts.malformed_frames);
   out += " tcp_accepts=" + std::to_string(ts.accepts);
-  // Gather-write metrics are transport + reactor-pool combined: with
-  // reactors on, client traffic flows through the pool while node
-  // dialing stays on the transport.
-  uint64_t writev_calls = ts.writev_calls;
-  uint64_t frames_coalesced = ts.frames_coalesced;
-  uint64_t rounds_busy = 0;
-  uint64_t rounds_idle = 0;
-  uint32_t reactors = 0;
-  if (reactors_ != nullptr) {
-    const ReactorPoolStats rs = reactors_->stats();
-    writev_calls += rs.writev_calls;
-    frames_coalesced += rs.frames_coalesced;
-    rounds_busy = rs.rounds_busy;
-    rounds_idle = rs.rounds_idle;
-    reactors = reactors_->reactors();
-  }
-  out += " tcp_writev_calls=" + std::to_string(writev_calls);
-  out += " tcp_frames_coalesced=" + std::to_string(frames_coalesced);
-  out += " reactors=" + std::to_string(reactors);
-  out += " reactor_rounds_busy=" + std::to_string(rounds_busy);
-  out += " reactor_rounds_idle=" + std::to_string(rounds_idle);
+  out += " tcp_writev_calls=" + std::to_string(ts.writev_calls);
+  out += " tcp_frames_coalesced=" + std::to_string(ts.frames_coalesced);
   // Always emitted (zeros without --data-dir) so bench/checker parsing
   // never has to branch on durability mode.
   const WalStats ws = wal_ != nullptr ? wal_->stats() : WalStats{};

@@ -4,7 +4,8 @@
 // simulator): EventLoop (real clock) + TcpTransport (real sockets) +
 // NodeHost/Replica (partition 0) + KvStateMachine behind a LogApplier,
 // with the same snapshot hooks and (client_id, seq) exactly-once dedup
-// the chaos harness wires in the simulator tier.
+// the chaos harness wires in the simulator tier. The process runs one
+// thread: every socket, client or peer, is served on the replica's loop.
 //
 // Lifecycle:
 //   NodeServer server(options);
@@ -34,7 +35,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "net/tcp/event_loop.h"
-#include "net/tcp/reactor_pool.h"
 #include "net/tcp/tcp_transport.h"
 #include "net/topology.h"
 #include "paxos/node_host.h"
@@ -78,10 +78,6 @@ struct NodeServerOptions {
   /// follower that lost frames during a partition stays wedged forever
   /// once the fault clears. 0 disables.
   Duration anti_entropy_interval = 1 * kSecond;
-  /// Reactor threads serving accepted connections (see
-  /// net/tcp/reactor_pool.h). 0 = single-threaded: every socket lives on
-  /// the replica's own loop, exactly the pre-multi-reactor behavior.
-  uint32_t reactors = 0;
   /// WAL mode (real durability, storage/wal.h): non-empty = open an
   /// acceptor write-ahead log in this directory. Every promise/accept/
   /// fast-vote reply then waits for the group-commit fdatasync, and a
@@ -188,9 +184,6 @@ class NodeServer {
   /// Commit callback of one batch: Puts are answered with the slot,
   /// Gets once the applier has crossed every slot below it.
   void AnswerBatch(std::vector<Waiter> waiters, const Status& st, SlotId slot);
-  /// Route a reply to whoever owns the connection: reactor tokens go to
-  /// the pool, plain ids to the transport.
-  void SendReply(uint64_t conn, const ClientReply& reply);
   /// Serve a batch's reads once the local applier reaches `slot` (the
   /// batch's commit position); polls the applier until `deadline`.
   void AnswerReadsAtSlot(std::vector<Waiter> gets, SlotId slot,
@@ -267,9 +260,6 @@ class NodeServer {
   uint64_t steals_rejected_ = 0;
   uint64_t pingpongs_suppressed_ = 0;
   uint64_t rescues_started_ = 0;
-  /// Declared LAST: destroyed first, which joins the reactor threads
-  /// while the loop and transport they post to are still alive.
-  std::unique_ptr<ReactorPool> reactors_;
 };
 
 }  // namespace dpaxos

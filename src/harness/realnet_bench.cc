@@ -105,10 +105,6 @@ Result<RealnetModeResult> RunMode(const RealnetBenchOptions& options,
   copts.leader_hint = 0;
   copts.enable_compaction = true;
   copts.log_dir = options.log_dir;
-  if (options.reactors > 0) {
-    copts.extra_args.push_back("--reactors=" +
-                               std::to_string(options.reactors));
-  }
   if (cell.fast_path) copts.extra_args.push_back("--fast-path");
   if (cell.durable) {
     copts.data_dir_base = cell.data_dir_base;
@@ -296,10 +292,6 @@ Result<RealnetMobilityResult> RunMobilityCell(
   copts.log_dir = options.log_dir;
   copts.listen_endpoints = real_endpoints;
   copts.peer_view = proxy.endpoints();
-  if (options.reactors > 0) {
-    copts.extra_args.push_back("--reactors=" +
-                               std::to_string(options.reactors));
-  }
   if (adaptive) {
     copts.extra_args.push_back("--ownership");
     copts.extra_args.push_back("--placement-sweep-ms=300");
@@ -493,12 +485,12 @@ std::string RealnetReportToJson(const RealnetBenchOptions& options,
   std::string out = "{\n  \"benchmark\": \"realnet\",\n";
   snprintf(buf, sizeof(buf),
            "  \"requests_per_mode\": %llu,\n"
-           "  \"hardware_threads\": %u,\n  \"reactors\": %u,\n"
+           "  \"hardware_threads\": %u,\n"
            "  \"open_loop\": {\"connections\": %u, \"pipeline\": %u, "
            "\"rate_ops\": %.1f},\n  \"modes\": [\n",
            static_cast<unsigned long long>(options.requests),
-           std::thread::hardware_concurrency(), options.reactors,
-           options.connections, options.pipeline, options.rate);
+           std::thread::hardware_concurrency(), options.connections,
+           options.pipeline, options.rate);
   out += buf;
   for (size_t i = 0; i < report.results.size(); ++i) {
     const RealnetModeResult& r = report.results[i];

@@ -34,8 +34,6 @@ struct RealnetBenchOptions {
   uint32_t pipeline = 256;
   /// Offered ops/s; 0 = closed loop at the pipeline depth.
   double rate = 0;
-  /// Reactor threads per server process (passed as --reactors).
-  uint32_t reactors = 2;
   /// Add the edge-write comparison cells: the same open-loop load aimed
   /// at a NON-leader node, once classic (forwarded to the leader) and
   /// once with --fast-path (origin drives the fast quorum directly).

@@ -64,38 +64,20 @@ void ChaosProxy::Stop() {
 void ChaosProxy::ThreadMain() {
   while (!stop_requested_.load(std::memory_order_relaxed)) {
     loop_.PollOnce(10 * kMillisecond);
-    DrainCommands();
   }
-}
-
-void ChaosProxy::Post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(command_mu_);
-    commands_.push_back(std::move(fn));
-  }
-  loop_.Wakeup();
-}
-
-void ChaosProxy::DrainCommands() {
-  std::vector<std::function<void()>> pending;
-  {
-    std::lock_guard<std::mutex> lock(command_mu_);
-    pending.swap(commands_);
-  }
-  for (auto& fn : pending) fn();
 }
 
 uint64_t ChaosProxy::AddFault(const LinkSelector& selector,
                               const LinkFault& fault) {
   const uint64_t id = next_rule_id_.fetch_add(1, std::memory_order_relaxed);
-  Post([this, id, selector, fault] {
+  loop_.PostTask([this, id, selector, fault] {
     rules_.push_back(Rule{id, selector, fault});
   });
   return id;
 }
 
 void ChaosProxy::RemoveFault(uint64_t rule_id) {
-  Post([this, rule_id] {
+  loop_.PostTask([this, rule_id] {
     for (size_t i = 0; i < rules_.size(); ++i) {
       if (rules_[i].id == rule_id) {
         rules_.erase(rules_.begin() + static_cast<ptrdiff_t>(i));
@@ -106,11 +88,11 @@ void ChaosProxy::RemoveFault(uint64_t rule_id) {
 }
 
 void ChaosProxy::ClearFaults() {
-  Post([this] { rules_.clear(); });
+  loop_.PostTask([this] { rules_.clear(); });
 }
 
 void ChaosProxy::CloseLinks(const LinkSelector& selector) {
-  Post([this, selector] {
+  loop_.PostTask([this, selector] {
     std::vector<uint64_t> victims;
     for (const auto& [id, conn] : conns_) {
       const Endpoint node_ep{false, conn->dst_node};

@@ -27,17 +27,15 @@
 // names the destination node.
 //
 // Threading: the proxy owns an EventLoop on a dedicated thread. All
-// public methods are callable from any thread; mutations are queued and
-// applied on the loop thread, stats are atomics.
+// public methods are callable from any thread; mutations are posted to
+// the loop thread (EventLoop::PostTask), stats are atomics.
 #ifndef DPAXOS_NET_TCP_CHAOS_PROXY_H_
 #define DPAXOS_NET_TCP_CHAOS_PROXY_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -179,8 +177,6 @@ class ChaosProxy {
   };
 
   void ThreadMain();
-  void Post(std::function<void()> fn);
-  void DrainCommands();
 
   void AcceptReady(size_t listener_index);
   void ConnEvent(uint64_t conn_id, bool client_side, uint32_t events);
@@ -209,8 +205,6 @@ class ChaosProxy {
   std::atomic<bool> stop_requested_{false};
   bool started_ = false;
 
-  std::mutex command_mu_;
-  std::vector<std::function<void()>> commands_;
   std::atomic<uint64_t> next_rule_id_{1};
 
   // Loop-thread state.

@@ -193,8 +193,8 @@ int EventLoop::EpollTimeoutMs() const {
   return static_cast<int>(std::min<uint64_t>(delta_ms, 60'000));
 }
 
-bool EventLoop::PollOnce(Duration max_wait) {
-  size_t did_work = FireDueTimers() + DrainPostedTasks();
+void EventLoop::PollOnce(Duration max_wait) {
+  const size_t did_work = FireDueTimers() + DrainPostedTasks();
   int timeout_ms = EpollTimeoutMs();
   const int cap_ms = static_cast<int>(
       std::min<Duration>(max_wait / kMillisecond, 60'000));
@@ -217,15 +217,13 @@ bool EventLoop::PollOnce(Duration max_wait) {
     if (it == fd_handlers_.end()) continue;
     FdHandler handler = it->second;
     handler(events[i].events);
-    ++did_work;
   }
   // Tasks posted while we slept in epoll_wait (the Wakeup path), then
   // timers the dispatched handlers armed at 0 delay — this is what makes
   // the 0-delay flush timer coalesce a whole dispatch round into one
   // gather write before the loop sleeps again.
-  did_work += DrainPostedTasks();
-  did_work += FireDueTimers();
-  return did_work > 0;
+  DrainPostedTasks();
+  FireDueTimers();
 }
 
 Status EventLoop::WatchFd(int fd, uint32_t events, FdHandler handler) {

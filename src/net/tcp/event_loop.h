@@ -68,9 +68,8 @@ class EventLoop final : public EventScheduler {
   /// Enqueue `task` to run on the loop thread and wake the loop. The
   /// ONLY EventLoop entry point (besides Stop/Wakeup) that is safe from
   /// other threads; tasks run between dispatch phases of PollOnce, in
-  /// push order per producer. This is the reactor->replica submission
-  /// path of the multi-reactor NodeServer (lock-free MPSC underneath,
-  /// see net/tcp/mpsc_queue.h).
+  /// push order per producer (lock-free MPSC underneath, see
+  /// net/tcp/mpsc_queue.h).
   void PostTask(std::function<void()> task);
 
   // --- driving --------------------------------------------------------
@@ -79,10 +78,9 @@ class EventLoop final : public EventScheduler {
   void Run();
   /// Run until `pred()` is true or `timeout` elapses. Returns pred().
   bool RunUntil(const std::function<bool()>& pred, Duration timeout);
-  /// One poll + dispatch round, blocking at most `max_wait`. Returns
-  /// true if any timer fired, fd handler ran or posted task executed
-  /// (the busy-vs-idle signal reactor threads account with).
-  bool PollOnce(Duration max_wait);
+  /// One poll + dispatch round, blocking at most `max_wait` (never when
+  /// timers or posted tasks already ran this round).
+  void PollOnce(Duration max_wait);
 
   /// Make Run() return after the current dispatch round. Thread-safe.
   void Stop();

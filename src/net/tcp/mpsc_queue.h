@@ -1,12 +1,14 @@
 // Lock-free unbounded multi-producer / single-consumer queue (Vyukov's
 // intrusive MPSC algorithm, node-per-item variant).
 //
-// This is the inbound spine of the multi-reactor NodeServer: every
-// reactor thread (producer) pushes decoded work at the replica's home
-// loop (the single consumer), and the home loop drains between poll
-// rounds. Push is wait-free apart from the node allocation: one
-// exchange on the head pointer plus one release store to link the
-// predecessor. TryPop is consumer-thread-only and never blocks.
+// This is the queue behind EventLoop::PostTask, drained by the loop
+// thread (the single consumer) between poll rounds. Its producers: a
+// test or nemesis thread driving a ChaosProxy (fault rules and link cuts
+// posted onto the proxy's relay loop), and a NodeServer's loop thread
+// posting its volume-triggered compaction to itself. Push is wait-free
+// apart from the node allocation: one exchange on the head pointer plus
+// one release store to link the predecessor. TryPop is
+// consumer-thread-only and never blocks.
 //
 // Consistency window: a producer that has exchanged the head but not
 // yet linked its node leaves the chain momentarily broken — TryPop

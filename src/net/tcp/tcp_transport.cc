@@ -116,11 +116,6 @@ void TcpTransport::SendClientReply(uint64_t conn_id,
   ScheduleFlush(conn);
 }
 
-void TcpTransport::InjectDelivery(NodeId from, const MessagePtr& msg) {
-  ++ThreadPerfCounters().messages_delivered;
-  if (handler_) handler_(from, msg);
-}
-
 void TcpTransport::UpdatePeerAddress(NodeId node, HostPort addr) {
   DPAXOS_CHECK(node < cluster_.size());
   cluster_[node] = std::move(addr);
@@ -150,12 +145,6 @@ void TcpTransport::AcceptReady() {
       return;
     }
     SetNoDelay(fd);
-    if (accept_handoff_) {
-      ++stats_.accepts;
-      ++ThreadPerfCounters().tcp_accepts;
-      accept_handoff_(fd);
-      continue;
-    }
     auto conn = std::make_unique<Conn>();
     conn->id = next_conn_id_++;
     conn->fd = fd;
@@ -254,7 +243,7 @@ void TcpTransport::ScheduleFlush(Conn* conn) {
   conn->flush_scheduled = true;
   std::shared_ptr<bool> alive = alive_;
   const uint64_t conn_id = conn->id;
-  loop_->Schedule(options_.flush_delay, [this, alive, conn_id]() {
+  loop_->Schedule(0, [this, alive, conn_id]() {
     if (!*alive) return;
     Conn* c = FindConn(conn_id);
     if (c == nullptr) return;

@@ -52,12 +52,6 @@ struct TcpTransportOptions {
   Duration reconnect_backoff_base = 50 * kMillisecond;
   Duration reconnect_backoff_cap = 2 * kSecond;
   int listen_backlog = 64;
-  /// Delay before a queued frame is flushed to the socket. The default 0
-  /// still coalesces: the flush timer fires at the END of the current
-  /// poll round, so every frame queued while dispatching one epoll batch
-  /// shares a single gather write. Raising it trades latency for bigger
-  /// batches under light load.
-  Duration flush_delay = 0;
 };
 
 /// Instance-level traffic counters (ThreadPerfCounters() mirrors these
@@ -121,19 +115,6 @@ class TcpTransport final : public Transport {
   size_t open_connections() const { return conns_.size(); }
   NodeId self() const { return self_; }
 
-  /// Hand accepted connections to an external owner (the multi-reactor
-  /// pool) instead of serving them on this loop. Called with the fresh
-  /// nonblocking fd (TCP_NODELAY already set) before any byte is read;
-  /// the callee owns the fd from then on. Accepts still count in stats.
-  void set_accept_handoff(std::function<void(int fd)> handoff) {
-    accept_handoff_ = std::move(handoff);
-  }
-
-  /// Deliver an already-decoded node message to the registered handler as
-  /// if it had arrived on a socket owned by this transport — the reinject
-  /// path for node frames read on reactor threads.
-  void InjectDelivery(NodeId from, const MessagePtr& msg);
-
   /// Test hook: fix up a peer endpoint after it bound an ephemeral port.
   void UpdatePeerAddress(NodeId node, HostPort addr);
 
@@ -179,7 +160,9 @@ class TcpTransport final : public Transport {
   void ReadReady(Conn* conn);
   bool ConsumeFrame(Conn* conn, std::string_view body);
   void FlushConn(Conn* conn);
-  /// Arm the per-conn flush timer (no-op if one is already pending).
+  /// Arm the per-conn flush timer (no-op if one is already pending). It
+  /// fires at the END of the current poll round, so every frame queued
+  /// while dispatching one epoll batch shares a single gather write.
   void ScheduleFlush(Conn* conn);
   /// Stage one encoded frame on the conn (counts frames_out).
   void StageFrame(Conn* conn, std::string frame);
@@ -199,7 +182,6 @@ class TcpTransport final : public Transport {
   TcpTransportOptions options_;
   Handler handler_;
   ClientRequestHandler client_handler_;
-  std::function<void(int fd)> accept_handoff_;
   Encoder encode_;
   Decoder decode_;
   int listen_fd_ = -1;

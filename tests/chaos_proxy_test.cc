@@ -60,12 +60,13 @@ class FramedEchoServer {
   ~FramedEchoServer() { Stop(); }
 
   void Stop() {
-    if (listen_fd_ >= 0) {
+    if (accept_thread_.joinable()) {
+      // shutdown wakes the blocked accept(); the fd is closed only once
+      // the accept thread, which reads it, has exited.
       shutdown(listen_fd_, SHUT_RDWR);
+      accept_thread_.join();
       close(listen_fd_);
-      listen_fd_ = -1;
     }
-    if (accept_thread_.joinable()) accept_thread_.join();
     std::vector<std::thread> conns;
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -1,11 +1,11 @@
 // Batched serving in NodeServer, in-process over loopback: pipelined
 // requests share consensus slots, yet per-key order and read-your-writes
-// hold, Gets keep the dedup window bounded, and a submit that fails
-// inline answers every request waiting on it.
+// hold, Gets keep the dedup window bounded, a submit that fails inline
+// answers every request waiting on it, and `stats` counts client bytes.
 //
-// Every server runs with one reactor thread; the test thread drives the
-// servers' home loops and a raw pipelining client built on the public
-// framing, so each burst of requests lands in one write.
+// The test thread drives the servers' loops and a raw pipelining client
+// built on the public framing, so each burst of requests lands in one
+// write.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "harness/node_server.h"
+#include "harness/real_cluster.h"
 #include "net/tcp/framing.h"
 #include "net/tcp/socket_util.h"
 
@@ -60,6 +62,7 @@ class PipelinedClient {
   uint64_t Get(const std::string& key) {
     return Queue(ClientOp::kGet, key, "");
   }
+  uint64_t Stats() { return Queue(ClientOp::kStats, "", ""); }
 
   /// Send what is queued, read what has arrived.
   void Pump() {
@@ -67,11 +70,13 @@ class PipelinedClient {
       const ssize_t n = send(fd_, out_.data(), out_.size(), MSG_NOSIGNAL);
       if (n <= 0) break;  // socket buffer full; the next Pump resumes
       out_.erase(0, static_cast<size_t>(n));
+      bytes_written_ += static_cast<uint64_t>(n);
     }
     char buf[65536];
     for (;;) {
       const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
       if (n <= 0) break;
+      bytes_read_ += static_cast<uint64_t>(n);
       decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)));
       std::string_view body;
       while (decoder_.Pop(&body) == FrameDecoder::Next::kFrame) {
@@ -89,6 +94,8 @@ class PipelinedClient {
   const ClientReply& Reply(uint64_t id) const { return replies_.at(id); }
   size_t replies() const { return replies_.size(); }
   int duplicate_replies() const { return duplicate_replies_; }
+  uint64_t bytes_written() const { return bytes_written_; }
+  uint64_t bytes_read() const { return bytes_read_; }
 
  private:
   uint64_t Queue(ClientOp op, const std::string& key,
@@ -109,6 +116,8 @@ class PipelinedClient {
   FrameDecoder decoder_;
   std::map<uint64_t, ClientReply> replies_;
   int duplicate_replies_ = 0;
+  uint64_t bytes_written_ = 0;
+  uint64_t bytes_read_ = 0;
 };
 
 class NodeServerTest : public ::testing::Test {
@@ -136,7 +145,6 @@ class NodeServerTest : public ::testing::Test {
     options.cluster = cluster_;
     options.mode = ProtocolMode::kMultiPaxos;
     options.leader_hint = 0;
-    options.reactors = 1;
     options.catchup_on_start = false;
     options.anti_entropy_interval = 0;
     tweak_(&options);
@@ -356,6 +364,31 @@ TEST_F(NodeServerTest, SnapshotBehindTheAppliedStateIsNotInstalled) {
   });
   ASSERT_TRUE(Spin(client, [&] { return done; }));
   EXPECT_EQ(server(1).kv().Get("k"), std::optional<std::string>("v"));
+}
+
+TEST_F(NodeServerTest, StatsCountClientTraffic) {
+  StartCluster({0, 1});
+  PipelinedClient client(server(0).listen_port(), 20);
+  ASSERT_TRUE(client.connected());
+  // Reads of one large value: the replies dwarf the peer traffic, so
+  // tcp_bytes_out covers them only if bytes sent to clients count.
+  std::vector<uint64_t> ids = {client.Put("big", std::string(4096, 'x'))};
+  for (int i = 0; i < 200; ++i) ids.push_back(client.Get("big"));
+  ASSERT_TRUE(SpinUntilAnswered(client, ids));
+  for (uint64_t id : ids) {
+    ASSERT_EQ(client.Reply(id).status_code, Code(StatusCode::kOk));
+  }
+  const uint64_t written = client.bytes_written();
+  const uint64_t read = client.bytes_read();
+  const uint64_t stats = client.Stats();
+  ASSERT_TRUE(SpinUntilAnswered(client, {stats}));
+  const std::string& line = client.Reply(stats).value;
+  EXPECT_GE(strtoull(StatsField(line, "tcp_bytes_in").c_str(), nullptr, 10),
+            written)
+      << line;
+  EXPECT_GE(strtoull(StatsField(line, "tcp_bytes_out").c_str(), nullptr, 10),
+            read)
+      << line;
 }
 
 TEST_F(NodeServerTest, InlineSubmitFailureAnswersEveryWaiter) {

@@ -1,5 +1,5 @@
 // Realnet perf lane (ctest -C realnet -L realnet_perf): the open-loop
-// async LoadGen against a real multi-reactor cluster. Asserts the
+// async LoadGen against a real cluster. Asserts the
 // serving-path plumbing — closed-loop saturation completes, open-loop
 // arrivals follow the clock, gather writes actually coalesce frames
 // (counters prove frames-per-syscall > 1), and a sustained-load soak
@@ -26,7 +26,7 @@ uint64_t StatsU64(const std::string& stats, const std::string& key) {
   return field.empty() ? 0 : strtoull(field.c_str(), nullptr, 10);
 }
 
-RealClusterOptions BaseCluster(uint32_t reactors) {
+RealClusterOptions BaseCluster() {
   RealClusterOptions copts;
   copts.server_binary = DPAXOS_CLI_PATH;
   copts.zones = 2;
@@ -34,9 +34,6 @@ RealClusterOptions BaseCluster(uint32_t reactors) {
   copts.mode = ProtocolMode::kLeaderZone;
   copts.seed = 11;
   copts.leader_hint = 0;
-  if (reactors > 0) {
-    copts.extra_args.push_back("--reactors=" + std::to_string(reactors));
-  }
   return copts;
 }
 
@@ -56,7 +53,7 @@ void Warmup(const RealCluster& cluster) {
 }
 
 TEST(RealnetPerfTest, ClosedLoopDriverCompletesAndCoalesces) {
-  RealCluster cluster(BaseCluster(/*reactors=*/2));
+  RealCluster cluster(BaseCluster());
   ASSERT_TRUE(cluster.Start().ok());
   Warmup(cluster);
 
@@ -85,7 +82,6 @@ TEST(RealnetPerfTest, ClosedLoopDriverCompletesAndCoalesces) {
     ASSERT_TRUE(stats.ok()) << "node " << n;
     writev_calls += StatsU64(stats.value(), "tcp_writev_calls");
     frames_coalesced += StatsU64(stats.value(), "tcp_frames_coalesced");
-    EXPECT_EQ(StatsU64(stats.value(), "reactors"), 2u) << "node " << n;
   }
   EXPECT_GT(writev_calls, 0u);
   EXPECT_GT(frames_coalesced, 0u);
@@ -93,7 +89,7 @@ TEST(RealnetPerfTest, ClosedLoopDriverCompletesAndCoalesces) {
 }
 
 TEST(RealnetPerfTest, OpenLoopArrivalsFollowTheClock) {
-  RealCluster cluster(BaseCluster(/*reactors=*/2));
+  RealCluster cluster(BaseCluster());
   ASSERT_TRUE(cluster.Start().ok());
   Warmup(cluster);
 
@@ -116,28 +112,6 @@ TEST(RealnetPerfTest, OpenLoopArrivalsFollowTheClock) {
   EXPECT_GE(result->elapsed_seconds, 1.5);
   EXPECT_LT(result->elapsed_seconds, 30.0);
   EXPECT_GT(result->latency.count(), 0u);
-  EXPECT_TRUE(cluster.ShutdownAll().ok());
-}
-
-TEST(RealnetPerfTest, SingleReactorModeStillServes) {
-  // reactors=0 keeps the pre-multi-reactor single-threaded path alive;
-  // regression against the handoff wiring breaking the default.
-  RealCluster cluster(BaseCluster(/*reactors=*/0));
-  ASSERT_TRUE(cluster.Start().ok());
-  Warmup(cluster);
-
-  LoadGenOptions lg;
-  lg.endpoints = {cluster.endpoint(0)};
-  lg.connections = 2;
-  lg.pipeline = 32;
-  lg.total_ops = 500;
-  lg.timeout = 60 * kSecond;
-  lg.client_id_base = 9300;
-  lg.seed = 13;
-  Result<LoadGenResult> result = RunLoadGen(lg);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->completed);
-  EXPECT_GE(result->ops_ok, lg.total_ops * 9 / 10);
   EXPECT_TRUE(cluster.ShutdownAll().ok());
 }
 

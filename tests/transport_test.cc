@@ -1,7 +1,8 @@
 // Unit tests for the transport layer: the simulated transport (delivery
 // latency composition, NIC egress serialization, WAN link caps, failure
-// injection, stats) and the TCP transport's conformance to the
-// Transport::Send delivery contract over real loopback sockets.
+// injection, stats) and the TCP transport over real loopback sockets:
+// conformance to the Transport::Send delivery contract, and its client
+// request/reply path.
 #include <gtest/gtest.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -16,7 +17,6 @@
 
 #include "net/tcp/event_loop.h"
 #include "net/tcp/framing.h"
-#include "net/tcp/reactor_pool.h"
 #include "net/tcp/socket_util.h"
 #include "net/tcp/tcp_transport.h"
 #include "net/transport.h"
@@ -550,48 +550,29 @@ TEST_F(TcpTransportTest, HostileLengthPrefixClosesConnectionNotProcess) {
   close(fd.value());
 }
 
-// --- ReactorPool: reply batching ---------------------------------------
+// --- Client path: request handler + SendClientReply --------------------
 //
-// Replies staged on the home loop cross to the reactor once per dispatch
-// round, as one task per reactor. That batching must never reorder or
-// drop replies on a connection: this cell pushes a burst of client
-// requests through the pool and checks every reply comes back exactly
-// once, in request order.
-TEST_F(TcpTransportTest, ReactorPoolDelayedFlushPreservesReplyOrder) {
+// A server answers a whole burst of pipelined requests in one loop round.
+// Those replies must come back exactly once each, in request order, and
+// share gather writes: this cell sends a burst on one connection and
+// echoes every request from the client request handler.
+TEST_F(TcpTransportTest, ClientRepliesKeepRequestOrderAndShareWrites) {
   constexpr int kRequests = 200;
-  EventLoop home(16);
-  ReactorPoolOptions options;
-  options.reactors = 1;
-  ReactorPool pool(&home, options);
-  pool.set_node_message_handler([](NodeId, MessagePtr) {});
-  pool.set_client_request_handler(
-      [&](uint64_t token, uint64_t, const ClientRequest& req) {
+  EventLoop loop(16);
+  TcpTransport server(&loop, 0, {HostPort{"127.0.0.1", 0}});
+  ASSERT_TRUE(server.Listen().ok());
+  server.set_client_request_handler(
+      [&](uint64_t conn, uint64_t, const ClientRequest& req) {
         ClientReply reply;
         reply.request_id = req.request_id;
         reply.value = req.value;
-        pool.SendClientReply(token, reply);
+        server.SendClientReply(conn, reply);
       });
-  pool.Start();
 
-  Result<int> listener = OpenListener(HostPort{"127.0.0.1", 0}, 4);
-  ASSERT_TRUE(listener.ok());
-  Result<uint16_t> port = BoundPort(listener.value());
-  ASSERT_TRUE(port.ok());
-  Result<int> client = StartConnect(HostPort{"127.0.0.1", port.value()});
+  Result<int> client =
+      StartConnect(HostPort{"127.0.0.1", server.listen_port()});
   ASSERT_TRUE(client.ok());
-  int server_fd = -1;
-  ASSERT_TRUE(home.RunUntil(
-      [&] {
-        if (server_fd < 0) server_fd = accept(listener.value(), nullptr,
-                                              nullptr);
-        return server_fd >= 0;
-      },
-      kWait));
-  ASSERT_TRUE(SetNonBlocking(server_fd).ok());
-  SetNoDelay(server_fd);
-  pool.Adopt(server_fd);
-
-  // Client side: HELLO + the whole burst in one write.
+  // HELLO + the whole burst in one write.
   std::string outbound = EncodeHelloFrame(Hello{PeerKind::kClient, 7});
   for (int i = 1; i <= kRequests; ++i) {
     ClientRequest req;
@@ -608,16 +589,13 @@ TEST_F(TcpTransportTest, ReactorPoolDelayedFlushPreservesReplyOrder) {
     if (n > 0) {
       sent += static_cast<size_t>(n);
     } else {
-      home.RunUntil([] { return false; }, kMillisecond);
+      loop.RunUntil([] { return false; }, kMillisecond);
     }
   }
 
-  // Collect replies on the home loop (the reactor runs on its own
-  // thread; the flush timer needs the home loop spinning).
   FrameDecoder decoder;
   std::vector<uint64_t> reply_ids;
-  ASSERT_TRUE(SetNonBlocking(client.value()).ok());
-  ASSERT_TRUE(home.WatchFd(client.value(), EPOLLIN, [&](uint32_t) {
+  ASSERT_TRUE(loop.WatchFd(client.value(), EPOLLIN, [&](uint32_t) {
     char buf[16384];
     for (;;) {
       const ssize_t n = recv(client.value(), buf, sizeof(buf), 0);
@@ -631,19 +609,20 @@ TEST_F(TcpTransportTest, ReactorPoolDelayedFlushPreservesReplyOrder) {
       }
     }
   }).ok());
-  ASSERT_TRUE(home.RunUntil(
+  ASSERT_TRUE(loop.RunUntil(
       [&] { return reply_ids.size() >= kRequests; }, kWait));
+  // Keep serving a little longer: a duplicated reply would arrive now.
+  loop.RunUntil([] { return false; }, 20 * kMillisecond);
 
   ASSERT_EQ(reply_ids.size(), static_cast<size_t>(kRequests));
   for (int i = 0; i < kRequests; ++i) {
     EXPECT_EQ(reply_ids[i], static_cast<uint64_t>(i + 1));
   }
-  const ReactorPoolStats stats = pool.stats();
+  const TcpTransportStats& stats = server.stats();
   EXPECT_EQ(stats.frames_out, static_cast<uint64_t>(kRequests));
-  home.UnwatchFd(client.value());
-  pool.Stop();
+  EXPECT_LT(stats.writev_calls, static_cast<uint64_t>(kRequests));
+  loop.UnwatchFd(client.value());
   close(client.value());
-  close(listener.value());
 }
 
 }  // namespace

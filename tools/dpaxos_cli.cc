@@ -109,12 +109,6 @@ struct CliOptions {
   double rate = 0;  // offered ops/s, 0 = closed loop
   std::string log_dir;
 
-  // --reactors serves double duty: reactor threads for --serve (0 =
-  // single-threaded loop) and the per-node override for realnet
-  // (which defaults to 2 when the flag is absent).
-  uint32_t reactors = 0;
-  bool reactors_set = false;
-
   // --experiment=realchaos only.
   uint32_t soak_connections = 0;
 
@@ -171,7 +165,6 @@ void Usage() {
       "  --mobility             add the mobility cells: a client\n"
       "                         population that moves zones mid-run,\n"
       "                         static-leader vs --ownership adaptive\n"
-      "  --reactors=N           reactor threads per node (default 2)\n"
       "  --logdir=DIR           per-node server logs (default: inherit)\n"
       "  --out=PATH             JSON output (default BENCH_realnet.json)\n"
       "realchaos experiment (proxied cluster + nemesis + checkers):\n"
@@ -187,7 +180,8 @@ void Usage() {
       "                         into (default BENCH_realnet.json)\n"
       "real-network server (see docs/realnet.md):\n"
       "  --serve --node=N --cluster=HOST:PORT,...   run one node\n"
-      "  --reactors=N           reactor threads (0 = single-threaded)\n"
+      "  --reactors=N           ignored: a node serves every socket on\n"
+      "                         one thread (kept for existing scripts)\n"
       "  --zones=Z              zone count (nodes split evenly)\n"
       "  --hint=N               leader hint for forwarded writes\n"
       "  --catchup-delay-ms=MS  snapshot catch-up delay after start\n"
@@ -318,8 +312,7 @@ bool ParseArgImpl(const std::string& arg, CliOptions* o) {
   } else if (value_of("--rate", &v)) {
     o->rate = std::stod(v);
   } else if (value_of("--reactors", &v)) {
-    o->reactors = static_cast<uint32_t>(std::stoul(v));
-    o->reactors_set = true;
+    // Accepted and ignored (see Usage).
   } else if (value_of("--soak-connections", &v)) {
     o->soak_connections = static_cast<uint32_t>(std::stoul(v));
   } else if (arg == "--ownership") {
@@ -590,7 +583,6 @@ int RunServe(const CliOptions& o, ProtocolMode mode) {
   server.leader_hint = o.hint;
   server.catchup_delay = o.catchup_delay;
   server.compaction_interval = o.compaction_interval;
-  server.reactors = o.reactors;
   server.replica.enable_compaction = o.compaction_interval > 0;
   server.replica.compaction_retained_suffix = o.compaction_retain;
   server.replica.enable_fast_path = o.fast_path;
@@ -692,7 +684,6 @@ int RunRealnetCli(const CliOptions& o) {
   bench.connections = o.connections;
   bench.pipeline = o.pipeline;
   bench.rate = o.rate;
-  if (o.reactors_set) bench.reactors = o.reactors;
   bench.json_path = o.out_set ? o.out : "BENCH_realnet.json";
   bench.log_dir = o.log_dir;
   bench.data_dir_base = o.data_dir;  // "" = temp dir for the durable cell
@@ -703,7 +694,7 @@ int RunRealnetCli(const CliOptions& o) {
             << " conns x " << bench.pipeline << " pipeline"
             << (bench.rate > 0 ? " @" + Fmt(bench.rate, 0) + " ops/s"
                                : " (closed loop)")
-            << ", reactors=" << bench.reactors << ", seed=" << bench.seed
+            << ", seed=" << bench.seed
             << "\n\n";
   Result<RealnetBenchReport> report = RunRealnetBench(bench);
   if (!report.ok()) {
