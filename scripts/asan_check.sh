@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# AddressSanitizer gate for the snapshot + recovery path.
+# AddressSanitizer + UndefinedBehaviorSanitizer gate for the byte paths.
 #
-# Builds the repo with -DDPAXOS_SANITIZE=address and runs the targets
-# that shuffle raw snapshot bytes around: the envelope unit tests, the
-# wire codec fuzzers (hostile length prefixes, splices, bit flips), the
-# catch-up/snapshot-transfer integration tests, and the chaos recovery
-# cells (chunk reassembly + install under crashes). Any heap overflow,
-# use-after-free in the reassembly buffer, or OOB read in the decoder
-# fails the script.
+# Builds the repo with -DDPAXOS_SANITIZE=address,undefined (both abort on
+# their first report: -fno-sanitize-recover) and runs the targets that
+# shuffle raw bytes around: the CRC-32 equivalence and frozen-bytes
+# cells (the sliced loop reads unaligned words; a direct misaligned load
+# fails here), the envelope unit tests, the wire codec fuzzers (hostile
+# length prefixes, splices, bit flips), the catch-up/snapshot-transfer
+# integration tests, and the chaos recovery cells (chunk reassembly +
+# install under crashes). Any heap overflow, use-after-free in the
+# reassembly buffer, OOB read in the decoder or misaligned access fails
+# the script.
 #
 # Usage: scripts/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -15,10 +18,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
-cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=address
+cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=address,undefined
 cmake --build "$BUILD_DIR" \
-    --target snapshot_test wire_fuzz_test wire_test catchup_test \
-             restart_test chaos_test soak_test fast_path_test \
+    --target crc32_test smr_test snapshot_test wire_fuzz_test wire_test \
+             catchup_test restart_test chaos_test soak_test fast_path_test \
              chaos_proxy_test real_chaos_test mpsc_queue_test \
              transport_test wal_test ownership_test mobility_test \
              node_server_test dpaxos_cli -j"$(nproc)"
@@ -26,7 +29,14 @@ cmake --build "$BUILD_DIR" \
 # abort_on_error so the first report fails the gate instead of running on
 # poisoned state; detect_leaks covers the long-lived harness allocations.
 export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1 ${ASAN_OPTIONS:-}"
+export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
+# CRC-32: every length and alignment of the sliced loop, plus the frame
+# and WAL bytes it checksums.
+"$BUILD_DIR/tests/crc32_test"
+# In-order apply hands the state machine the caller's payload (no copy);
+# snapshot serialization sorts pointers into the live maps.
+"$BUILD_DIR/tests/smr_test" --gtest_filter='LogApplierTest.*'
 "$BUILD_DIR/tests/snapshot_test"
 "$BUILD_DIR/tests/wire_fuzz_test"
 "$BUILD_DIR/tests/wire_test"
@@ -46,7 +56,8 @@ export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1 ${ASAN_OPTIONS:-}"
 # Serving-path plumbing: the MPSC queue behind PostTask (node lifetime
 # across producer/consumer threads) and the writev gather path (iovec
 # construction over the outbound frame deque, partial-write walks) for
-# peer frames and client replies alike.
+# peer frames and client replies alike, and the frame cache a fanned-out
+# message shares across peers.
 "$BUILD_DIR/tests/mpsc_queue_test"
 "$BUILD_DIR/tests/transport_test" --gtest_filter='TcpTransportTest.*'
 # Batched serving: waiters move from the open batch into the commit
@@ -65,4 +76,4 @@ export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$BUILD_DIR/tests/ownership_test"
 "$BUILD_DIR/tests/mobility_test"
 
-echo "asan_check: PASS (no memory errors reported)"
+echo "asan_check: PASS (no memory errors or undefined behavior reported)"

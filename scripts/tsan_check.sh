@@ -19,7 +19,7 @@ cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=thread
 cmake --build "$BUILD_DIR" \
     --target shard_runner_test bench_simperf mpsc_queue_test \
              chaos_proxy_test fast_path_test wal_test ownership_test \
-             node_server_test -j"$(nproc)"
+             node_server_test transport_test -j"$(nproc)"
 
 # halt_on_error so the first race fails the gate instead of scrolling by.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -40,6 +40,11 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # each batch's replies fan back out, all on the node's one loop thread;
 # run instrumented so any thread a later change adds surfaces here.
 "$BUILD_DIR/tests/node_server_test"
+# Fan-out frame cache: the transport keeps the last message it encoded
+# (and its frame) for the next peer. Loop-thread only by design; run
+# instrumented so any thread a later change adds to Send surfaces here.
+"$BUILD_DIR/tests/transport_test" \
+    --gtest_filter='TcpTransportTest.FanOutEncodesEachMessageOnce'
 # WAL group commit: SyncThen callbacks scheduled through the event loop
 # vs the append path — single-threaded by design, but the death test and
 # simulator-driven batch release must stay clean under instrumentation.

@@ -1,8 +1,14 @@
 // CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF).
 //
 // Shared by every integrity envelope in the tree: the snapshot envelope
-// (smr/snapshot.h) and the TCP frame header (net/tcp/framing.h). Lives
-// in common/ so net does not have to link smr just for a checksum.
+// (smr/snapshot.h), the TCP frame header (net/tcp/framing.h) and the WAL
+// record header (storage/wal.h). Lives in common/ so net does not have
+// to link smr just for a checksum.
+//
+// It runs on every frame the serving path sends or receives, so it is
+// computed slicing-by-16 (16 bytes per step, tables built at compile
+// time) rather than a byte at a time; the checksum itself is the same,
+// bit for bit (tests/crc32_test.cc).
 #ifndef DPAXOS_COMMON_CRC32_H_
 #define DPAXOS_COMMON_CRC32_H_
 

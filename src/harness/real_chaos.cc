@@ -15,6 +15,7 @@
 #include "harness/real_cluster.h"
 #include "harness/real_nemesis.h"
 #include "net/tcp/tcp_client.h"
+#include "paxos/replica_config.h"
 
 namespace dpaxos {
 
@@ -63,6 +64,53 @@ struct SharedState {
   std::atomic<bool> stop{false};
 };
 
+/// Issue one op through ctx's client, recording its invocation and its
+/// outcome in the shared history.
+void RunCheckedOp(ClientCtx* ctx, SharedState* shared, bool is_read,
+                  const std::string& key) {
+  // Written values are unique per (client, op) — the linearizability
+  // search requires distinguishable writes per key.
+  const std::string value =
+      is_read ? ""
+              : "c" + std::to_string(ctx->client_id) + "-" +
+                    std::to_string(ctx->next_op);
+  ++ctx->next_op;
+
+  size_t index;
+  const Timestamp invoked = NowMicros();
+  {
+    std::lock_guard<std::mutex> lock(shared->mu);
+    index = shared->recorder.Invoke(ctx->client_id, ctx->next_op, is_read,
+                                    key, value, invoked);
+  }
+  FailoverTcpClient::CallResult result = ctx->client->Call(
+      is_read ? ClientOp::kGet : ClientOp::kPut, key, value);
+  const Timestamp completed = NowMicros();
+  std::lock_guard<std::mutex> lock(shared->mu);
+  HistoryOp& op = shared->recorder.op(index);
+  if (result.status.ok()) {
+    const StatusCode code = static_cast<StatusCode>(result.reply.status_code);
+    if (is_read) {
+      if (code == StatusCode::kOk) op.observed = result.reply.value;
+      // kNotFound leaves observed == nullopt: a definite "absent".
+      op.observed_watermark = result.reply.watermark;
+    } else {
+      op.slot = result.reply.watermark;
+    }
+    shared->recorder.Complete(index, HistoryOutcome::kOk, completed);
+    shared->latency.Add(completed - invoked);
+  } else if (is_read || !result.ever_sent) {
+    // Reads have no effect; writes that never reached a live
+    // connection definitely did not happen.
+    shared->recorder.Complete(index, HistoryOutcome::kFail, completed);
+  } else {
+    // The write reached a server and no definitive answer came
+    // back — it may commit any time later.
+    shared->recorder.Complete(index, HistoryOutcome::kIndeterminate,
+                              completed);
+  }
+}
+
 void ClientLoop(const RealChaosOptions& options, ClientCtx* ctx,
                 SharedState* shared) {
   while (!shared->stop.load(std::memory_order_relaxed)) {
@@ -74,55 +122,72 @@ void ClientLoop(const RealChaosOptions& options, ClientCtx* ctx,
     const bool is_read = ctx->rng.NextBool(options.read_fraction);
     const std::string key =
         "k" + std::to_string(ctx->rng.NextBounded(options.num_keys));
-    // Written values are unique per (client, op) — the linearizability
-    // search requires distinguishable writes per key.
-    const std::string value =
-        is_read ? ""
-                : "c" + std::to_string(ctx->client_id) + "-" +
-                      std::to_string(ctx->next_op);
-    ++ctx->next_op;
-
-    size_t index;
-    const Timestamp invoked = NowMicros();
-    {
-      std::lock_guard<std::mutex> lock(shared->mu);
-      index = shared->recorder.Invoke(ctx->client_id, ctx->next_op, is_read,
-                                      key, value, invoked);
-    }
-    FailoverTcpClient::CallResult result = ctx->client->Call(
-        is_read ? ClientOp::kGet : ClientOp::kPut, key, value);
-    const Timestamp completed = NowMicros();
-    {
-      std::lock_guard<std::mutex> lock(shared->mu);
-      HistoryOp& op = shared->recorder.op(index);
-      if (result.status.ok()) {
-        const StatusCode code =
-            static_cast<StatusCode>(result.reply.status_code);
-        if (is_read) {
-          if (code == StatusCode::kOk) op.observed = result.reply.value;
-          // kNotFound leaves observed == nullopt: a definite "absent".
-          op.observed_watermark = result.reply.watermark;
-        } else {
-          op.slot = result.reply.watermark;
-        }
-        shared->recorder.Complete(index, HistoryOutcome::kOk, completed);
-        shared->latency.Add(completed - invoked);
-      } else if (is_read || !result.ever_sent) {
-        // Reads have no effect; writes that never reached a live
-        // connection definitely did not happen.
-        shared->recorder.Complete(index, HistoryOutcome::kFail, completed);
-      } else {
-        // The write reached a server and no definitive answer came
-        // back — it may commit any time later.
-        shared->recorder.Complete(index, HistoryOutcome::kIndeterminate,
-                                  completed);
-      }
-    }
+    RunCheckedOp(ctx, shared, is_read, key);
     if (shared->stop.load(std::memory_order_relaxed)) break;
     const Duration think =
         options.think_time / 2 + ctx->rng.NextBounded(options.think_time);
     SleepMicros(think);
   }
+}
+
+/// Fast-path runs: force one fast-path fallback, so every run exercises
+/// the fallback whether or not its fault schedule caused one. The leader
+/// (node 0, the leader hint) is in every fast quorum, so SIGSTOPping it
+/// for longer than the servers' fast timeout, while a checked client
+/// writes through a follower holding the fast grant, makes that
+/// follower's fast attempt time out and fall back to a classic forward,
+/// which commits once the leader resumes. Call with the cluster healed
+/// and the other clients stopped.
+void ForceFastFallback(const RealChaosOptions& options, RealCluster& cluster,
+                       const ChaosProxy& proxy, SharedState* shared) {
+  // A follower that committed on the fast path holds the grant: restarts
+  // reset counters, and a restarted node has no grant until the next
+  // election.
+  NodeId follower = 1;
+  uint64_t most_fast_commits = 0;
+  for (NodeId n = 1; n < cluster.num_nodes(); ++n) {
+    Result<std::string> stats = cluster.Stats(n);
+    if (!stats.ok()) continue;
+    const uint64_t fast_commits = StatsU64(stats.value(), "fast_commits");
+    if (fast_commits > most_fast_commits) {
+      most_fast_commits = fast_commits;
+      follower = n;
+    }
+  }
+  // The servers run ReplicaConfig's timers: the fast timeout is
+  // propose_timeout unless fast_timeout is set.
+  const ReplicaConfig server;
+  const Duration fast_timeout = server.fast_timeout > 0
+                                    ? server.fast_timeout
+                                    : server.propose_timeout;
+  const Duration pause = fast_timeout + kSecond;
+
+  FailoverTcpClient::Options fopts;
+  // One attempt, on the follower, that outlasts the pause.
+  fopts.attempt_timeout = pause + options.op_timeout;
+  fopts.overall_timeout = fopts.attempt_timeout;
+  ClientCtx ctx;
+  ctx.client_id = options.num_clients + 1;
+  FailoverTcpClient client(ctx.client_id, proxy.endpoints(), fopts);
+  client.set_endpoint(follower);
+  ctx.client = &client;
+
+  Status st = cluster.Pause(0);
+  if (!st.ok()) {
+    DPAXOS_WARN("realchaos: cannot pause the leader: " << st.ToString());
+    return;
+  }
+  std::thread resume([&cluster, pause] {
+    SleepMicros(pause);
+    Status resumed = cluster.Resume(0);
+    if (!resumed.ok()) {
+      DPAXOS_WARN("realchaos: cannot resume the leader: "
+                  << resumed.ToString());
+    }
+  });
+  RunCheckedOp(&ctx, shared, /*is_read=*/false, "kfallback");
+  resume.join();
+  client.Close();
 }
 
 /// Poll direct (non-proxied) stats until every node reports the same
@@ -335,6 +400,7 @@ RealChaosReport RunRealChaos(const RealChaosOptions& options) {
 
   // 6. Heal the world and wait for one identical state everywhere.
   nemesis.Quiesce();
+  if (options.fast_path) ForceFastFallback(options, cluster, proxy, &shared);
   std::string converge_detail;
   report.converged =
       AwaitConvergence(cluster, options.settle, &converge_detail);

@@ -36,7 +36,10 @@ struct RealChaosOptions {
   /// Run the servers with --fast-path: follower origins drive the fast
   /// quorum directly and fall back to classic forwarding on conflict or
   /// timeout (docs/PROTOCOL.md §fast-path). The checkers judge the
-  /// resulting history exactly as in classic runs.
+  /// resulting history exactly as in classic runs. After the faulty
+  /// phase a fast-path run forces one fallback whatever the schedule
+  /// did: it SIGSTOPs the leader past the fast timeout while one more
+  /// checked Put goes through a follower holding the fast grant.
   bool fast_path = false;
 
   uint32_t num_clients = 4;

@@ -8,68 +8,66 @@
 
 namespace dpaxos {
 
-void AppendFrame(std::string_view body, std::string* out) {
-  ByteWriter writer(out);
-  writer.Reserve(kFrameHeaderBytes + body.size());
-  writer.PutU32(static_cast<uint32_t>(body.size()));
-  writer.PutU32(Crc32(body));
-  out->append(body);
+size_t BeginFrame(std::string* out) {
+  const size_t frame_start = out->size();
+  out->append(kFrameHeaderBytes, '\0');
+  return frame_start;
 }
 
-void AppendNodeMessageFrame(std::string_view wire_bytes, std::string* out) {
-  // The body is [type byte | wire bytes]; checksum both without
-  // materializing the concatenation: write the header with a zero CRC,
-  // append the body, then patch the CRC over the body range in place.
-  ByteWriter writer(out);
-  writer.Reserve(kFrameHeaderBytes + 1 + wire_bytes.size());
-  writer.PutU32(static_cast<uint32_t>(1 + wire_bytes.size()));
-  const size_t crc_at = out->size();
-  writer.PutU32(0);
-  writer.PutU8(static_cast<uint8_t>(FrameType::kNodeMessage));
-  out->append(wire_bytes);
-  const uint32_t crc =
-      Crc32(std::string_view(*out).substr(crc_at + 4, 1 + wire_bytes.size()));
-  for (int i = 0; i < 4; ++i) {
-    (*out)[crc_at + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
+void FinishFrame(size_t frame_start, std::string* out) {
+  const size_t body_at = frame_start + kFrameHeaderBytes;
+  const uint32_t header[2] = {
+      static_cast<uint32_t>(out->size() - body_at),
+      Crc32(std::string_view(*out).substr(body_at))};
+  std::memcpy(out->data() + frame_start, header, kFrameHeaderBytes);
+}
+
+void AppendFrame(std::string_view body, std::string* out) {
+  out->reserve(out->size() + kFrameHeaderBytes + body.size());
+  const size_t frame = BeginFrame(out);
+  out->append(body);
+  FinishFrame(frame, out);
 }
 
 std::string EncodeHelloFrame(const Hello& hello) {
-  std::string body;
-  ByteWriter writer(&body);
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + 10);
+  const size_t start = BeginFrame(&frame);
+  ByteWriter writer(&frame);
   writer.PutU8(static_cast<uint8_t>(FrameType::kHello));
   writer.PutU8(static_cast<uint8_t>(hello.kind));
   writer.PutU64(hello.id);
-  std::string frame;
-  AppendFrame(body, &frame);
+  FinishFrame(start, &frame);
   return frame;
 }
 
 std::string EncodeClientRequestFrame(const ClientRequest& req) {
-  std::string body;
-  ByteWriter writer(&body);
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + 22 + req.key.size() + req.value.size());
+  const size_t start = BeginFrame(&frame);
+  ByteWriter writer(&frame);
   writer.PutU8(static_cast<uint8_t>(FrameType::kClientRequest));
   writer.PutU64(req.request_id);
   writer.PutU8(static_cast<uint8_t>(req.op));
   writer.PutString(req.key);
   writer.PutString(req.value);
   writer.PutU32(req.zone);
-  std::string frame;
-  AppendFrame(body, &frame);
+  FinishFrame(start, &frame);
   return frame;
 }
 
 std::string EncodeClientReplyFrame(const ClientReply& reply) {
-  std::string body;
-  ByteWriter writer(&body);
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + 26 + reply.value.size());
+  const size_t start = BeginFrame(&frame);
+  ByteWriter writer(&frame);
   writer.PutU8(static_cast<uint8_t>(FrameType::kClientReply));
   writer.PutU64(reply.request_id);
   writer.PutU8(reply.status_code);
   writer.PutString(reply.value);
   writer.PutU64(reply.watermark);
   writer.PutU32(reply.redirect);
-  std::string frame;
-  AppendFrame(body, &frame);
+  FinishFrame(start, &frame);
   return frame;
 }
 

@@ -109,8 +109,12 @@ inline constexpr size_t kFrameHeaderBytes = 8;
 /// Append [length | crc | body] to `out` (body supplied whole).
 void AppendFrame(std::string_view body, std::string* out);
 
-/// Append a kNodeMessage frame wrapping already-wire-encoded bytes.
-void AppendNodeMessageFrame(std::string_view wire_bytes, std::string* out);
+/// Framing for a body encoded in place, so its bytes are written once:
+/// BeginFrame appends a placeholder header to `out` and returns where
+/// the frame starts; append the body after it, then FinishFrame fills in
+/// the header's length and checksum.
+size_t BeginFrame(std::string* out);
+void FinishFrame(size_t frame_start, std::string* out);
 
 std::string EncodeHelloFrame(const Hello& hello);
 std::string EncodeClientRequestFrame(const ClientRequest& req);

@@ -23,6 +23,8 @@ namespace {
 /// flush cannot buffer an unbounded burst in user space).
 constexpr size_t kMaxIovPerWrite = 64;
 constexpr size_t kFlushSliceBytes = 64 * 1024;
+/// Largest frame Send keeps for the next peer of a fan-out.
+constexpr size_t kMaxCachedFrameBytes = kFlushSliceBytes;
 
 }  // namespace
 
@@ -87,23 +89,38 @@ void TcpTransport::Send(NodeId from, NodeId to, MessagePtr msg) {
     });
     return;
   }
-  DPAXOS_CHECK_MSG(encode_ != nullptr, "wire codec not installed");
-  encode_buffer_.clear();
-  encode_(*msg, &encode_buffer_);
-  std::string frame;
-  AppendNodeMessageFrame(encode_buffer_, &frame);
   PeerState& peer = peers_[to];
   if (peer.queue.size() >= options_.max_queued_frames) {
     peer.queue.pop_front();
     ++stats_.frames_dropped;
     ++pc.tcp_frames_dropped;
   }
-  peer.queue.push_back(std::move(frame));
+  peer.queue.push_back(FrameFor(std::move(msg)));
   EnsureConnected(to);
   Conn* conn = FindConn(peer.conn_id);
   // Flush via a timer instead of inline so every Send of the current
   // dispatch round lands in one gather write (the coalescing window).
   if (conn != nullptr && conn->established) ScheduleFlush(conn);
+}
+
+std::string TcpTransport::FrameFor(MessagePtr msg) {
+  if (msg == last_sent_) return last_frame_;
+  DPAXOS_CHECK_MSG(encode_ != nullptr, "wire codec not installed");
+  // Encode straight into the frame: the wire bytes are written once and
+  // checksummed once, however many peers the message goes to.
+  last_frame_.clear();
+  const size_t start = BeginFrame(&last_frame_);
+  last_frame_.push_back(static_cast<char>(FrameType::kNodeMessage));
+  encode_(*msg, &last_frame_);
+  FinishFrame(start, &last_frame_);
+  if (last_frame_.size() > kMaxCachedFrameBytes) {
+    // A catch-up page or snapshot chunk goes to one peer: hand its frame
+    // over rather than keep it (and the message) alive in the cache.
+    last_sent_.reset();
+    return std::exchange(last_frame_, std::string());
+  }
+  last_sent_ = std::move(msg);
+  return last_frame_;
 }
 
 void TcpTransport::SendClientReply(uint64_t conn_id,

@@ -86,6 +86,7 @@ class TcpTransport final : public Transport {
   void set_wire_codec(Encoder encode, Decoder decode) {
     encode_ = std::move(encode);
     decode_ = std::move(decode);
+    last_sent_.reset();
   }
 
   /// Bind + listen on cluster[self]. Call once before the loop runs.
@@ -166,6 +167,9 @@ class TcpTransport final : public Transport {
   void ScheduleFlush(Conn* conn);
   /// Stage one encoded frame on the conn (counts frames_out).
   void StageFrame(Conn* conn, std::string frame);
+  /// The kNodeMessage frame for `msg`, encoded only if `msg` is not the
+  /// message the previous call encoded.
+  std::string FrameFor(MessagePtr msg);
   void EnsureConnected(NodeId to);
   void OnOutboundUp(Conn* conn);
   void OnConnError(uint64_t conn_id);
@@ -190,7 +194,12 @@ class TcpTransport final : public Transport {
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   std::vector<PeerState> peers_;
   TcpTransportStats stats_;
-  std::string encode_buffer_;  // reused across Send calls
+  /// The last message Send encoded and its frame: a message fanned out
+  /// to several peers is encoded and checksummed once. Holding the
+  /// pointer keeps the message alive, so no later message can reuse its
+  /// address and be mistaken for it.
+  MessagePtr last_sent_;
+  std::string last_frame_;
   /// Flipped by the destructor so in-flight self-delivery closures
   /// scheduled on the loop become no-ops instead of use-after-free.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

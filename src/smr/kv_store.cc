@@ -111,20 +111,37 @@ Status KvStateMachine::Restore(const std::string& snapshot) {
 }
 
 std::string KvStateMachine::SerializeFull() const {
-  std::string out;
-  ByteWriter w(&out);
-  std::vector<std::pair<std::string, std::string>> pairs(data_.begin(),
-                                                         data_.end());
-  std::sort(pairs.begin(), pairs.end());
-  w.PutU64(pairs.size());
-  for (const auto& [k, v] : pairs) {
-    w.PutString(k);
-    w.PutString(v);
+  // Sort pointers to the entries, not copies of them. Keys are unique,
+  // so ordering by key alone gives the same order (and bytes) as
+  // sorting the pairs.
+  using Entry = std::pair<const std::string, std::string>;
+  std::vector<const Entry*> pairs;
+  pairs.reserve(data_.size());
+  // u64 counts for the pairs, the clients and the three counters.
+  size_t bytes = 5 * 8;
+  for (const Entry& entry : data_) {
+    pairs.push_back(&entry);
+    bytes += 8 + entry.first.size() + entry.second.size();
   }
+  std::sort(pairs.begin(), pairs.end(), [](const Entry* a, const Entry* b) {
+    return a->first < b->first;
+  });
   std::vector<uint64_t> clients;
   clients.reserve(applied_seqs_.size());
-  for (const auto& [id, window] : applied_seqs_) clients.push_back(id);
+  for (const auto& [id, window] : applied_seqs_) {
+    clients.push_back(id);
+    bytes += 3 * 8 + 8 * window.sparse.size();
+  }
   std::sort(clients.begin(), clients.end());
+
+  std::string out;
+  ByteWriter w(&out);
+  w.Reserve(bytes);
+  w.PutU64(pairs.size());
+  for (const Entry* entry : pairs) {
+    w.PutString(entry->first);
+    w.PutString(entry->second);
+  }
   w.PutU64(clients.size());
   for (uint64_t id : clients) {
     const ClientWindow& window = applied_seqs_.at(id);

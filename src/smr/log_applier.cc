@@ -4,7 +4,14 @@ namespace dpaxos {
 
 void LogApplier::OnDecided(SlotId slot, const Value& value) {
   if (slot < next_to_apply_) return;  // duplicate learn
-  buffer_.emplace(slot, value);
+  if (slot > next_to_apply_) {
+    // Out of order: keep a copy until the gap below it fills.
+    buffer_.emplace(slot, value);
+    return;
+  }
+  // Next in line: apply straight from the caller's value.
+  sm_->Apply(slot, value.payload);
+  ++next_to_apply_;
   DrainBuffered();
 }
 

@@ -44,6 +44,41 @@ TEST(LogApplierTest, BuffersOutOfOrderSlots) {
   EXPECT_EQ(kv.Get("c"), "3");
 }
 
+// Checks, on every Apply, that the payload is the caller's own string
+// (applied in place, not copied) and that the applier holds nothing
+// buffered while applying it.
+class InPlaceProbe final : public StateMachine {
+ public:
+  void Apply(SlotId slot, const std::string& payload) override {
+    applied.push_back(slot);
+    if (&payload != expected_payload) ++copied;
+    if (applier->buffered() != 0) ++buffered_during_apply;
+  }
+
+  const LogApplier* applier = nullptr;
+  const std::string* expected_payload = nullptr;
+  std::vector<SlotId> applied;
+  int copied = 0;
+  int buffered_during_apply = 0;
+};
+
+TEST(LogApplierTest, InOrderFeedAppliesInPlaceWithoutBuffering) {
+  InPlaceProbe probe;
+  LogApplier applier(&probe);
+  probe.applier = &applier;
+  for (SlotId slot = 0; slot < 64; ++slot) {
+    const Value value = PutValue(slot + 1, "k", std::to_string(slot));
+    probe.expected_payload = &value.payload;
+    applier.OnDecided(slot, value);
+    EXPECT_EQ(applier.buffered(), 0u);
+  }
+  EXPECT_EQ(applier.applied_watermark(), 64u);
+  ASSERT_EQ(probe.applied.size(), 64u);
+  for (SlotId slot = 0; slot < 64; ++slot) EXPECT_EQ(probe.applied[slot], slot);
+  EXPECT_EQ(probe.copied, 0);
+  EXPECT_EQ(probe.buffered_during_apply, 0);
+}
+
 TEST(LogApplierTest, IgnoresDuplicateLearns) {
   KvStateMachine kv;
   LogApplier applier(&kv);

@@ -124,6 +124,32 @@ TEST(KvSnapshotTest, SerializeFullRoundTripPreservesStateAndCounters) {
   EXPECT_FALSE(restored.WasApplied(9, 4));
 }
 
+// SerializeFull's bytes are a format: a node installs snapshots another
+// build serialized. A fixed state (1024 keys, five in-order clients, one
+// client with a sparse window, one skipped duplicate) must serialize to
+// the bytes an earlier build wrote, pinned by their size and FNV-1a hash.
+TEST(KvSnapshotTest, SerializeFullMatchesFrozenBytes) {
+  KvStateMachine kv;
+  for (uint64_t i = 0; i < 1024; ++i) {
+    const uint64_t key = (i * 389) % 1024;  // scrambled insertion order
+    const std::string value(key % 61, static_cast<char>('a' + key % 26));
+    kv.Apply(i, PutValue(i + 1, "key" + std::to_string(key), value,
+                         /*client_id=*/1 + i % 5, /*seq=*/1 + i / 5));
+  }
+  kv.Apply(1024, PutValue(2000, "key7", "sparse-5", /*client_id=*/9, 5));
+  kv.Apply(1025, PutValue(2001, "key8", "sparse-7", /*client_id=*/9, 7));
+  kv.Apply(1026, PutValue(2002, "key8", "dup", /*client_id=*/9, 7));
+
+  const std::string bytes = kv.SerializeFull();
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 44859u);
+  EXPECT_EQ(hash, 18111893082151564683ull);
+}
+
 // The reason SerializeFull exists: a client retry that straddles the
 // snapshot point must still dedup after install + residual replay.
 TEST(KvSnapshotTest, DedupWindowSurvivesInstall) {

@@ -263,21 +263,22 @@ class TcpTransportTest : public ::testing::Test {
     close(probe.value());
   }
 
+  static void EncodeTestMsg(const Message& m, std::string* out) {
+    const TestMsg& msg = static_cast<const TestMsg&>(m);
+    const uint64_t fields[2] = {msg.size_bytes,
+                                static_cast<uint64_t>(msg.tag)};
+    out->append(reinterpret_cast<const char*>(fields), sizeof(fields));
+  }
+
+  static MessagePtr DecodeTestMsg(std::string_view bytes) {
+    if (bytes.size() != 16) return nullptr;
+    uint64_t fields[2];
+    memcpy(fields, bytes.data(), sizeof(fields));
+    return std::make_shared<TestMsg>(fields[0], static_cast<int>(fields[1]));
+  }
+
   static void InstallCodec(TcpTransport& t) {
-    t.set_wire_codec(
-        [](const Message& m, std::string* out) {
-          const TestMsg& msg = static_cast<const TestMsg&>(m);
-          const uint64_t fields[2] = {msg.size_bytes,
-                                      static_cast<uint64_t>(msg.tag)};
-          out->append(reinterpret_cast<const char*>(fields), sizeof(fields));
-        },
-        [](std::string_view bytes) -> MessagePtr {
-          if (bytes.size() != 16) return nullptr;
-          uint64_t fields[2];
-          memcpy(fields, bytes.data(), sizeof(fields));
-          return std::make_shared<TestMsg>(fields[0],
-                                           static_cast<int>(fields[1]));
-        });
+    t.set_wire_codec(EncodeTestMsg, DecodeTestMsg);
   }
 
   // Builds a connected pair of transports on `loop` and records node 1's
@@ -548,6 +549,69 @@ TEST_F(TcpTransportTest, HostileLengthPrefixClosesConnectionNotProcess) {
   ASSERT_TRUE(loop.RunUntil([&] { return !received.empty(); }, kWait));
   EXPECT_EQ(received.back().second, 424242);
   close(fd.value());
+}
+
+// A message fanned out to several peers is encoded (and its frame
+// checksummed) once, and every peer still receives it intact. Two
+// distinct messages sent back to back are each encoded once and arrive
+// in order, even when the second is allocated where the first, already
+// released by its sender, used to live.
+TEST_F(TcpTransportTest, FanOutEncodesEachMessageOnce) {
+  constexpr NodeId kNodes = 4;
+  EventLoop loop(17);
+  const std::vector<HostPort> any(kNodes, HostPort{"127.0.0.1", 0});
+  std::vector<std::unique_ptr<TcpTransport>> nodes;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    nodes.push_back(std::make_unique<TcpTransport>(&loop, n, any));
+    InstallCodec(*nodes.back());
+    ASSERT_TRUE(nodes.back()->Listen().ok());
+  }
+  int encodes = 0;
+  nodes[0]->set_wire_codec(
+      [&encodes](const Message& m, std::string* out) {
+        ++encodes;
+        EncodeTestMsg(m, out);
+      },
+      DecodeTestMsg);
+  std::vector<std::vector<std::pair<int, uint64_t>>> received(kNodes);
+  for (NodeId n = 0; n < kNodes; ++n) {
+    for (NodeId peer = 0; peer < kNodes; ++peer) {
+      nodes[n]->UpdatePeerAddress(
+          peer, HostPort{"127.0.0.1", nodes[peer]->listen_port()});
+    }
+    nodes[n]->RegisterHandler(n, [&received, n](NodeId, const MessagePtr& m) {
+      const TestMsg* msg = static_cast<const TestMsg*>(m.get());
+      received[n].emplace_back(msg->tag, msg->size_bytes);
+    });
+  }
+  auto fan_out = [&](const MessagePtr& msg) {
+    for (NodeId to = 1; to < kNodes; ++to) nodes[0]->Send(0, to, msg);
+  };
+
+  {
+    MessagePtr first = std::make_shared<TestMsg>(111, 1);
+    fan_out(first);
+  }  // the sender's last reference to the first message dies here
+  EXPECT_EQ(encodes, 1);
+  fan_out(std::make_shared<TestMsg>(222, 2));
+  EXPECT_EQ(encodes, 2);
+
+  ASSERT_TRUE(loop.RunUntil(
+      [&] {
+        for (NodeId n = 1; n < kNodes; ++n) {
+          if (received[n].size() < 2) return false;
+        }
+        return true;
+      },
+      kWait));
+  // Keep serving a little longer: a duplicated frame would arrive now.
+  loop.RunUntil([] { return false; }, 20 * kMillisecond);
+  for (NodeId n = 1; n < kNodes; ++n) {
+    ASSERT_EQ(received[n].size(), 2u) << "node " << n;
+    EXPECT_EQ(received[n][0], std::make_pair(1, uint64_t{111}));
+    EXPECT_EQ(received[n][1], std::make_pair(2, uint64_t{222}));
+  }
+  EXPECT_TRUE(received[0].empty());
 }
 
 // --- Client path: request handler + SendClientReply --------------------

@@ -242,7 +242,9 @@ std::string FramedStream() {
   reply.status_code = 0;
   reply.value = "12";
   stream += EncodeClientReplyFrame(reply);
-  AppendNodeMessageFrame(std::string(64, '\x5A'), &stream);
+  AppendFrame(std::string(1, static_cast<char>(FrameType::kNodeMessage)) +
+                  std::string(64, '\x5A'),
+              &stream);
   return stream;
 }
 
