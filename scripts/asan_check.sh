@@ -20,7 +20,7 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=address,undefined
 cmake --build "$BUILD_DIR" \
-    --target crc32_test smr_test snapshot_test wire_fuzz_test wire_test \
+    --target crc32_test smr_test txn_test snapshot_test wire_fuzz_test wire_test \
              catchup_test restart_test chaos_test soak_test fast_path_test \
              chaos_proxy_test real_chaos_test mpsc_queue_test \
              transport_test wal_test ownership_test mobility_test \
@@ -34,9 +34,13 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # CRC-32: every length and alignment of the sliced loop, plus the frame
 # and WAL bytes it checksums.
 "$BUILD_DIR/tests/crc32_test"
-# In-order apply hands the state machine the caller's payload (no copy);
-# snapshot serialization sorts pointers into the live maps.
-"$BUILD_DIR/tests/smr_test" --gtest_filter='LogApplierTest.*'
+# In-order apply hands the state machine the caller's payload (no copy),
+# which it applies through views into that payload after parsing it
+# whole (truncated at every length); snapshot serialization sorts
+# pointers into the live maps.
+"$BUILD_DIR/tests/smr_test" --gtest_filter='LogApplierTest.*:KvStateMachineTest.*'
+# The field-level batch Add encodes request views straight into the batch.
+"$BUILD_DIR/tests/txn_test" --gtest_filter='BatchBuilderTest.*'
 "$BUILD_DIR/tests/snapshot_test"
 "$BUILD_DIR/tests/wire_fuzz_test"
 "$BUILD_DIR/tests/wire_test"
@@ -55,14 +59,16 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/real_chaos_test" --gtest_filter='*Failover*'
 # Serving-path plumbing: the MPSC queue behind PostTask (node lifetime
 # across producer/consumer threads) and the writev gather path (iovec
-# construction over the outbound frame deque, partial-write walks) for
-# peer frames and client replies alike, and the frame cache a fanned-out
+# construction over the outbound buffer deque, partial-write walks) for
+# peer frames and client replies framed into shared buffers, request
+# views of the decoder's buffer, and the frame cache a fanned-out
 # message shares across peers.
 "$BUILD_DIR/tests/mpsc_queue_test"
 "$BUILD_DIR/tests/transport_test" --gtest_filter='TcpTransportTest.*'
 # Batched serving: waiters move from the open batch into the commit
-# callback and on to the read poll, and an inline submit failure runs
-# the callback inside the submit loop.
+# callback and on to the read poll, an inline submit failure runs the
+# callback inside the submit loop, and hundreds of pipelined batches are
+# in flight at once.
 "$BUILD_DIR/tests/node_server_test"
 # WAL + fault-injecting Env: recovery parses raw frame bytes off disk
 # (torn tails, flipped bits — classic OOB territory), the group-commit

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # gprof flat profiles of the benchmark's measured realnet cluster.
 #
-# Builds dpaxos_cli and the perfbench driver with -pg into their own
-# build directory, then runs one perfbench workload with --server
+# Builds dpaxos_cli and the perfbench driver with -pg, linked statically,
+# into their own build directory, then runs one perfbench workload with --server
 # pointing at that dpaxos_cli and GMON_OUT_PREFIX set, so every server
 # process writes gmon.out.<pid> when it exits. The driver starts 45
 # clusters and measures the last one (perfbench/README.md, "Phases of a
@@ -15,9 +15,12 @@
 #   seconds    measured run length (default 25, the benchmark's)
 #   build-dir  default build-gprof; profiles land in <build-dir>/profile
 #
-# Read the flat profile's self seconds and call counts, not the call
-# graph, and remember -pg inflates call-heavy functions (docs/perf.md,
-# "Profiling in this container").
+# Static linking puts libc and libstdc++ inside the profiled binary, so
+# the flat profile covers malloc/free and the containers too, and time
+# spent in the kernel lands on the syscall wrapper that entered it
+# (sendmsg, recv, epoll_wait). Read the flat profile's self seconds and
+# call counts, not the call graph, and remember -pg inflates call-heavy
+# functions (docs/perf.md, "Profiling in this container").
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,7 +37,7 @@ case "$WORKLOAD" in
 esac
 
 cmake -S perfbench -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >/dev/null
+    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS="-pg -static" >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --target dpaxos_cli perfbench_driver >/dev/null
 

@@ -19,7 +19,8 @@ cmake -B "$BUILD_DIR" -S . -DDPAXOS_SANITIZE=thread
 cmake --build "$BUILD_DIR" \
     --target shard_runner_test bench_simperf mpsc_queue_test \
              chaos_proxy_test fast_path_test wal_test ownership_test \
-             node_server_test transport_test -j"$(nproc)"
+             node_server_test transport_test smr_test txn_test crc32_test \
+             -j"$(nproc)"
 
 # halt_on_error so the first race fails the gate instead of scrolling by.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -36,15 +37,24 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Fast-path commits: vote and deferred-ack bookkeeping that retains
 # callbacks across rounds (simulator-driven, single-threaded by design).
 "$BUILD_DIR/tests/fast_path_test"
-# Batched serving: pipelined client requests commit in shared slots and
-# each batch's replies fan back out, all on the node's one loop thread;
-# run instrumented so any thread a later change adds surfaces here.
+# Batched serving: pipelined client requests commit in shared slots,
+# closed batches go out while others are in flight, and each batch's
+# replies fan back out into shared buffers, all on the node's one loop
+# thread; run instrumented so any thread a later change adds surfaces
+# here.
 "$BUILD_DIR/tests/node_server_test"
+# The pieces of that path on their own: apply from payload views, the
+# dedup window's in-order fast path, the field-level batch Add, and
+# replies appended into one buffer.
+"$BUILD_DIR/tests/smr_test" --gtest_filter='KvStateMachineTest.*'
+"$BUILD_DIR/tests/txn_test" --gtest_filter='BatchBuilderTest.*'
+"$BUILD_DIR/tests/crc32_test" --gtest_filter='FrozenBytesTest.*'
 # Fan-out frame cache: the transport keeps the last message it encoded
-# (and its frame) for the next peer. Loop-thread only by design; run
-# instrumented so any thread a later change adds to Send surfaces here.
+# (and its frame) for the next peer; client replies share a staged
+# buffer per connection. Loop-thread only by design; run instrumented so
+# any thread a later change adds to Send or the reply path surfaces here.
 "$BUILD_DIR/tests/transport_test" \
-    --gtest_filter='TcpTransportTest.FanOutEncodesEachMessageOnce'
+    --gtest_filter='TcpTransportTest.FanOutEncodesEachMessageOnce:TcpTransportTest.ClientRepliesKeepRequestOrderAndShareWrites'
 # WAL group commit: SyncThen callbacks scheduled through the event loop
 # vs the append path — single-threaded by design, but the death test and
 # simulator-driven batch release must stay clean under instrumentation.

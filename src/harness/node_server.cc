@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -90,6 +92,10 @@ Status NodeServer::Start() {
   ReplicaConfig config = options_.replica;
   // Every node applies the full log locally (serves reads + snapshots).
   config.decide_policy = DecidePolicy::kAll;
+  // The replica's window is the serving window: every batch this node
+  // has in flight gets a slot at once, and a follower that falls that
+  // far behind catches up in one page.
+  config.max_inflight = kCatchUpPageSize;
   if (options_.mode == ProtocolMode::kLeaderless) {
     config.leaderless_index = options_.node;
     config.leaderless_total = topology_->num_nodes();
@@ -168,7 +174,8 @@ Status NodeServer::Start() {
   }
 
   transport_->set_client_request_handler(
-      [this](uint64_t conn, uint64_t client_id, const ClientRequest& req) {
+      [this](uint64_t conn, uint64_t client_id,
+             const ClientRequestView& req) {
         OnClientRequest(conn, client_id, req);
       });
 
@@ -201,7 +208,7 @@ Status NodeServer::Start() {
 }
 
 void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
-                                 const ClientRequest& req) {
+                                 const ClientRequestView& req) {
   switch (req.op) {
     case ClientOp::kPut: {
       if (options_.ownership) {
@@ -237,32 +244,33 @@ void NodeServer::OnClientRequest(uint64_t conn, uint64_t client_id,
 }
 
 void NodeServer::Enqueue(uint64_t conn, uint64_t client_id,
-                         const ClientRequest& req) {
+                         const ClientRequestView& req) {
   // A Get rides as a zero-op transaction: it commits nothing, but its
   // (client_id, seq) fills the client's dedup window like a Put's would.
   const bool get = req.op == ClientOp::kGet;
-  Transaction txn;
-  txn.id = NextValueId();
-  txn.client_id = client_id;
-  txn.seq = req.request_id;
-  if (!get) txn.ops.push_back(Operation::Put(req.key, req.value));
-  const uint64_t bytes = EncodedSize(txn);
-  if (batches_.empty() || batches_.back().put_keys.count(req.key) > 0 ||
-      (!batches_.back().builder.empty() &&
-       batches_.back().builder.pending_bytes() + bytes > batch_cap_bytes_)) {
-    batches_.emplace_back(batch_cap_bytes_);
+  const OperationView put{Operation::Kind::kPut, req.key, req.value};
+  const std::span<const OperationView> ops(&put, get ? 0 : 1);
+  const uint64_t bytes = kTxnHeaderBytes + (get ? 0 : EncodedOpSize(put));
+  const size_t key_hash = std::hash<std::string_view>{}(req.key);
+  Batch* open = batches_.empty() ? nullptr : &batches_.back();
+  if (open == nullptr ||
+      std::ranges::find(open->put_keys, key_hash) != open->put_keys.end() ||
+      (!open->builder.empty() &&
+       open->builder.pending_bytes() + bytes > batch_cap_bytes_)) {
+    open = &batches_.emplace_back(batch_cap_bytes_);
   }
-  Batch& batch = batches_.back();
-  batch.builder.Add(txn);
-  if (!get) batch.put_keys.insert(req.key);
-  batch.waiters.push_back(
-      Waiter{conn, req.request_id, get, get ? req.key : std::string()});
+  open->builder.Add(NextValueId(), client_id, req.request_id, ops);
+  if (!get) open->put_keys.push_back(key_hash);
+  open->waiters.push_back(Waiter{conn, req.request_id, get,
+                                 get ? std::string(req.key) : std::string()});
   SubmitBatches();
 }
 
 void NodeServer::SubmitBatches() {
-  const uint32_t window = std::max(options_.replica.max_inflight, 1u);
-  while (batches_inflight_ < window && !batches_.empty()) {
+  // A closed batch cannot grow, so it goes out at once; the open one
+  // waits for every batch in flight, and gathers what arrives meanwhile.
+  while (!batches_.empty() && batches_inflight_ < kCatchUpPageSize &&
+         (batches_.size() > 1 || batches_inflight_ == 0)) {
     Batch batch = std::move(batches_.front());
     batches_.pop_front();
     ++batches_inflight_;
@@ -299,22 +307,22 @@ void NodeServer::AnswerBatch(std::vector<Waiter> waiters, const Status& st,
   // next operation.
   const bool redirect = directory_.has_value() && directory_->has_owner(0) &&
                         directory_->owner_node(0) != options_.node;
-  std::vector<Waiter> gets;
-  for (Waiter& w : waiters) {
-    if (w.get && st.ok()) {
-      gets.push_back(std::move(w));
-      continue;
-    }
-    ClientReply reply;
+  // Every Put (and, on failure, every Get) gets the same answer.
+  ClientReply reply;
+  reply.status_code = static_cast<uint8_t>(st.code());
+  reply.value = st.ok() ? std::to_string(slot) : st.ToString();
+  reply.watermark = st.ok() ? slot : 0;
+  for (const Waiter& w : waiters) {
+    if (w.get && st.ok()) continue;  // answered once the applier is there
     reply.request_id = w.request_id;
-    reply.status_code = static_cast<uint8_t>(st.code());
-    reply.value = st.ok() ? std::to_string(slot) : st.ToString();
-    reply.watermark = st.ok() ? slot : 0;
-    if (!w.get && redirect) reply.redirect = directory_->owner_node(0);
+    reply.redirect =
+        !w.get && redirect ? directory_->owner_node(0) : kInvalidIdWire;
     transport_->SendClientReply(w.conn, reply);
   }
-  if (!gets.empty()) {
-    AnswerReadsAtSlot(std::move(gets), slot, loop_.Now() + 5 * kSecond);
+  if (!st.ok()) return;
+  std::erase_if(waiters, [](const Waiter& w) { return !w.get; });
+  if (!waiters.empty()) {
+    AnswerReadsAtSlot(std::move(waiters), slot, loop_.Now() + 5 * kSecond);
   }
 }
 
@@ -327,17 +335,18 @@ void NodeServer::AnswerReadsAtSlot(std::vector<Waiter> gets, SlotId slot,
   // after failover — exactly the violation the chaos checkers exist to
   // catch.
   if (applier_.applied_watermark() >= slot) {
+    ClientReply reply;  // one for all: its value keeps its capacity
+    reply.watermark = applier_.applied_watermark();
     for (const Waiter& w : gets) {
-      ClientReply reply;
       reply.request_id = w.request_id;
-      std::optional<std::string> found = kv_.Get(w.key);
-      if (found.has_value()) {
-        reply.status_code = static_cast<uint8_t>(StatusCode::kOk);
-        reply.value = std::move(*found);
+      const std::string* found = kv_.Find(w.key);
+      reply.status_code = static_cast<uint8_t>(
+          found != nullptr ? StatusCode::kOk : StatusCode::kNotFound);
+      if (found != nullptr) {
+        reply.value.assign(*found);
       } else {
-        reply.status_code = static_cast<uint8_t>(StatusCode::kNotFound);
+        reply.value.clear();
       }
-      reply.watermark = applier_.applied_watermark();
       transport_->SendClientReply(w.conn, reply);
     }
     return;

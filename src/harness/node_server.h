@@ -18,10 +18,12 @@
 // sockets — which is exactly how a killed-and-restarted process rejoins
 // (tests/real_cluster_test.cc proves the full cycle).
 //
-// Client Puts and Gets are batched, self-clocked: at most
-// replica.max_inflight batches are outstanding, every request arriving
-// meanwhile joins the open batch, and each commit answers its batch and
-// submits the next. An idle node proposes a batch of one at once.
+// Client Puts and Gets are batched: every request joins the open batch
+// until a later one has to start a new batch behind it; the closed
+// batch then goes out at once, and the open batch waits until nothing is
+// in flight (self-clocked). Up to kCatchUpPageSize batches are in flight,
+// and the replica's window is set to match. An idle node proposes a
+// batch of one at once.
 #ifndef DPAXOS_HARNESS_NODE_SERVER_H_
 #define DPAXOS_HARNESS_NODE_SERVER_H_
 
@@ -29,7 +31,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -62,7 +63,9 @@ struct NodeServerOptions {
   /// traffic reveals a leader. kInvalidNode = no hint (first write
   /// triggers self-election via auto_elect_on_submit).
   NodeId leader_hint = kInvalidNode;
-  ReplicaConfig replica;  ///< decide_policy is forced to kAll (full SMR)
+  /// decide_policy is forced to kAll (full SMR) and max_inflight to
+  /// kCatchUpPageSize (the serving window, see the top of this file).
+  ReplicaConfig replica;
   TcpTransportOptions tcp;
   /// Pull state from peers shortly after start (snapshot-first).
   bool catchup_on_start = true;
@@ -165,18 +168,21 @@ class NodeServer {
     explicit Batch(uint64_t cap_bytes) : builder(cap_bytes) {}
     BatchBuilder builder;
     std::vector<Waiter> waiters;
-    std::unordered_set<std::string> put_keys;
+    /// Hashes of the keys with a Put here; a collision only closes the
+    /// batch early.
+    std::vector<size_t> put_keys;
   };
 
   void OnClientRequest(uint64_t conn, uint64_t client_id,
-                       const ClientRequest& req);
+                       const ClientRequestView& req);
   /// Add a Put or Get to the open batch, then submit what the window
   /// allows. A request starts a new batch when its key already has a
   /// Put in the open one, or when it would push the batch past
   /// batch_cap_bytes_; so commit order is arrival order.
-  void Enqueue(uint64_t conn, uint64_t client_id, const ClientRequest& req);
-  /// Submit queued batches while fewer than replica.max_inflight are
-  /// outstanding.
+  void Enqueue(uint64_t conn, uint64_t client_id,
+               const ClientRequestView& req);
+  /// Submit closed batches (all but the open back()) while fewer than
+  /// kCatchUpPageSize are in flight, and the open one once none is.
   void SubmitBatches();
   /// After a batch completes: SubmitBatches() at the end of this loop
   /// round.
@@ -230,7 +236,8 @@ class NodeServer {
   KvStateMachine kv_;
   LogApplier applier_{&kv_};
   uint64_t next_value_id_ = 1;
-  /// Batches not yet submitted; back() is the open one.
+  /// Batches not yet submitted; back() is the open one, the rest are
+  /// closed and wait only for room in the window.
   std::deque<Batch> batches_;
   uint32_t batches_inflight_ = 0;
   bool submit_scheduled_ = false;

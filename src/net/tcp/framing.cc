@@ -58,17 +58,21 @@ std::string EncodeClientRequestFrame(const ClientRequest& req) {
 
 std::string EncodeClientReplyFrame(const ClientReply& reply) {
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + 26 + reply.value.size());
-  const size_t start = BeginFrame(&frame);
-  ByteWriter writer(&frame);
+  AppendClientReplyFrame(reply, &frame);
+  return frame;
+}
+
+void AppendClientReplyFrame(const ClientReply& reply, std::string* out) {
+  ByteWriter writer(out);
+  writer.Reserve(kFrameHeaderBytes + 26 + reply.value.size());
+  const size_t start = BeginFrame(out);
   writer.PutU8(static_cast<uint8_t>(FrameType::kClientReply));
   writer.PutU64(reply.request_id);
   writer.PutU8(reply.status_code);
   writer.PutString(reply.value);
   writer.PutU64(reply.watermark);
   writer.PutU32(reply.redirect);
-  FinishFrame(start, &frame);
-  return frame;
+  FinishFrame(start, out);
 }
 
 namespace {
@@ -101,15 +105,27 @@ Result<Hello> ParseHello(std::string_view body) {
 }
 
 Result<ClientRequest> ParseClientRequest(std::string_view body) {
+  Result<ClientRequestView> view = ParseClientRequestView(body);
+  if (!view.ok()) return view.status();
+  ClientRequest req;
+  req.request_id = view->request_id;
+  req.op = view->op;
+  req.key = view->key;
+  req.value = view->value;
+  req.zone = view->zone;
+  return req;
+}
+
+Result<ClientRequestView> ParseClientRequestView(std::string_view body) {
   ByteReader reader(body);
   if (!ReadType(&reader, FrameType::kClientRequest)) {
     return FrameCorruption("bad request type");
   }
-  ClientRequest req;
+  ClientRequestView req;
   uint8_t op = 0;
   if (!reader.ReadU64(&req.request_id) || !reader.ReadU8(&op) || op < 1 ||
-      op > 3 || !reader.ReadString(&req.key) ||
-      !reader.ReadString(&req.value) || !reader.ReadU32(&req.zone) ||
+      op > 3 || !reader.ReadStringView(&req.key) ||
+      !reader.ReadStringView(&req.value) || !reader.ReadU32(&req.zone) ||
       !reader.AtEnd()) {
     return FrameCorruption("malformed client request");
   }

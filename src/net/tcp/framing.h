@@ -87,6 +87,16 @@ struct ClientRequest {
   uint32_t zone = kInvalidIdWire;
 };
 
+/// A ClientRequest whose key and value view the frame body it was
+/// parsed from: valid only as long as that body.
+struct ClientRequestView {
+  uint64_t request_id = 0;
+  ClientOp op = ClientOp::kPut;
+  std::string_view key;
+  std::string_view value;
+  uint32_t zone = kInvalidIdWire;
+};
+
 struct ClientReply {
   uint64_t request_id = 0;
   uint8_t status_code = 0;  ///< StatusCode cast to a byte (0 == OK)
@@ -119,12 +129,17 @@ void FinishFrame(size_t frame_start, std::string* out);
 std::string EncodeHelloFrame(const Hello& hello);
 std::string EncodeClientRequestFrame(const ClientRequest& req);
 std::string EncodeClientReplyFrame(const ClientReply& reply);
+/// Append the reply's frame to `out` (what EncodeClientReplyFrame
+/// returns), so a server frames many replies into one buffer.
+void AppendClientReplyFrame(const ClientReply& reply, std::string* out);
 
 /// Parsers take a complete frame BODY (including the leading type byte)
 /// and return Corruption on any structural violation, including a
 /// mismatched frame type or trailing bytes.
 Result<Hello> ParseHello(std::string_view body);
 Result<ClientRequest> ParseClientRequest(std::string_view body);
+/// ParseClientRequest without the copies: key and value view `body`.
+Result<ClientRequestView> ParseClientRequestView(std::string_view body);
 Result<ClientReply> ParseClientReply(std::string_view body);
 
 /// \brief Incremental frame splitter over an arbitrary byte stream.

@@ -129,7 +129,20 @@ void TcpTransport::SendClientReply(uint64_t conn_id,
   if (conn == nullptr || !conn->inbound || conn->kind != PeerKind::kClient) {
     return;  // client went away; nothing to do
   }
-  StageFrame(conn, EncodeClientReplyFrame(reply));
+  // Every reply of this round goes into the buffer at the back of the
+  // queue (even one partly written: outpos indexes its start), so they
+  // leave together without a buffer each.
+  if (conn->outq.empty() ||
+      conn->outq.back().bytes.size() >= kFlushSliceBytes) {
+    conn->outq.push_back(OutBuffer{std::exchange(conn->spare, {}), 0});
+  }
+  OutBuffer& out = conn->outq.back();
+  const size_t before = out.bytes.size();
+  AppendClientReplyFrame(reply, &out.bytes);
+  ++out.frames;
+  conn->outq_bytes += out.bytes.size() - before;
+  ++stats_.frames_out;
+  ++ThreadPerfCounters().tcp_frames_out;
   ScheduleFlush(conn);
 }
 
@@ -250,7 +263,7 @@ void TcpTransport::OnOutboundUp(Conn* conn) {
 
 void TcpTransport::StageFrame(Conn* conn, std::string frame) {
   conn->outq_bytes += frame.size();
-  conn->outq.push_back(std::move(frame));
+  conn->outq.push_back(OutBuffer{std::move(frame), 1});
   ++stats_.frames_out;
   ++ThreadPerfCounters().tcp_frames_out;
 }
@@ -364,7 +377,7 @@ bool TcpTransport::ConsumeFrame(Conn* conn, std::string_view body) {
         MarkMalformed(conn, "client request on node connection");
         return false;
       }
-      Result<ClientRequest> req = ParseClientRequest(body);
+      Result<ClientRequestView> req = ParseClientRequestView(body);
       if (!req.ok()) {
         MarkMalformed(conn, "malformed client request");
         return false;
@@ -404,17 +417,17 @@ void TcpTransport::FlushConn(Conn* conn) {
       }
     }
     if (conn->outq.empty()) break;
-    // One gather write covers up to kMaxIovPerWrite staged frames; the
+    // One gather write covers up to kMaxIovPerWrite staged buffers; the
     // front iovec resumes at outpos after a previous partial write.
-    // Frames leave the deque strictly front-to-back, so coalescing can
+    // Buffers leave the deque strictly front-to-back, so coalescing can
     // never reorder what Send queued (transport_test asserts this).
     iovec iov[kMaxIovPerWrite];
     size_t niov = 0;
-    for (const std::string& frame : conn->outq) {
+    for (const OutBuffer& buffer : conn->outq) {
       if (niov == kMaxIovPerWrite) break;
       const size_t skip = niov == 0 ? conn->outpos : 0;
-      iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
-      iov[niov].iov_len = frame.size() - skip;
+      iov[niov].iov_base = const_cast<char*>(buffer.bytes.data()) + skip;
+      iov[niov].iov_len = buffer.bytes.size() - skip;
       ++niov;
     }
     msghdr mh{};
@@ -428,17 +441,27 @@ void TcpTransport::FlushConn(Conn* conn) {
       stats_.bytes_out += static_cast<uint64_t>(n);
       pc.tcp_bytes_out += static_cast<uint64_t>(n);
       size_t remaining = static_cast<size_t>(n);
-      size_t covered = 0;  // frames this syscall touched
+      // Frames this syscall touched: a finished buffer counts all of its
+      // frames, one left partly written counts one now (and all of them
+      // again when it finishes), so a frame split across calls counts
+      // in both, as it would staged alone.
+      size_t covered = 0;
       while (remaining > 0) {
-        std::string& front = conn->outq.front();
-        const size_t left = front.size() - conn->outpos;
-        ++covered;
+        OutBuffer& front = conn->outq.front();
+        const size_t left = front.bytes.size() - conn->outpos;
         if (remaining >= left) {
           remaining -= left;
-          conn->outq_bytes -= front.size();
+          covered += front.frames;
+          conn->outq_bytes -= front.bytes.size();
           conn->outpos = 0;
+          if (conn->kind == PeerKind::kClient &&
+              front.bytes.capacity() > conn->spare.capacity()) {
+            front.bytes.clear();
+            conn->spare = std::move(front.bytes);
+          }
           conn->outq.pop_front();
         } else {
+          ++covered;
           conn->outpos += remaining;
           remaining = 0;
         }
@@ -478,10 +501,10 @@ void TcpTransport::OnConnError(uint64_t conn_id) {
   const NodeId peer_node = conn->peer_node;
   // Anything staged at or below the socket dies with it — within the
   // Send contract (may drop).
-  if (!conn->outq.empty()) {
-    stats_.frames_dropped += conn->outq.size();
-    ThreadPerfCounters().tcp_frames_dropped += conn->outq.size();
-  }
+  size_t staged = 0;
+  for (const OutBuffer& buffer : conn->outq) staged += buffer.frames;
+  stats_.frames_dropped += staged;
+  ThreadPerfCounters().tcp_frames_dropped += staged;
   CloseConn(conn_id);
   if (outbound_node) {
     PeerState& peer = peers_[peer_node];

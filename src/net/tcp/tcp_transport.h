@@ -66,7 +66,9 @@ struct TcpTransportStats {
   uint64_t accepts = 0;
   uint64_t malformed_frames = 0;
   uint64_t writev_calls = 0;      ///< gather-write syscalls issued
-  uint64_t frames_coalesced = 0;  ///< frames that shared a syscall (batch-1)
+  /// Frames that shared a syscall: frames written by each call, less
+  /// one. A frame split across two calls counts in both.
+  uint64_t frames_coalesced = 0;
 };
 
 /// \brief TCP Transport for one node of a real cluster.
@@ -102,13 +104,16 @@ class TcpTransport final : public Transport {
   // --- external clients ----------------------------------------------
   /// `conn` identifies the client connection for SendClientReply;
   /// `client_id` is the id the client declared in its HELLO (servers tag
-  /// transactions with it for exactly-once dedup).
+  /// transactions with it for exactly-once dedup). The request's key and
+  /// value view the received frame: copy what must outlive the call.
   using ClientRequestHandler = std::function<void(
-      uint64_t conn, uint64_t client_id, const ClientRequest&)>;
+      uint64_t conn, uint64_t client_id, const ClientRequestView&)>;
   void set_client_request_handler(ClientRequestHandler handler) {
     client_handler_ = std::move(handler);
   }
   /// Queue a reply on a client connection; no-op if it already closed.
+  /// The reply is framed straight into the connection's staged output,
+  /// so the replies of one loop round share a buffer and a gather write.
   void SendClientReply(uint64_t conn, const ClientReply& reply);
 
   // --- introspection & fault injection -------------------------------
@@ -125,6 +130,13 @@ class TcpTransport final : public Transport {
   void CloseAllConnections();
 
  private:
+  /// Bytes staged for one socket: one frame, or a run of client replies
+  /// framed into one buffer. The counters count `frames`, not buffers.
+  struct OutBuffer {
+    std::string bytes;
+    size_t frames = 0;
+  };
+
   struct Conn {
     uint64_t id = 0;
     int fd = -1;
@@ -135,13 +147,16 @@ class TcpTransport final : public Transport {
     uint64_t peer_id = 0;   ///< HELLO id (NodeId or client id)
     NodeId peer_node = 0;   ///< outbound: dialed node
     FrameDecoder decoder;
-    /// Frames staged for this socket, flushed with one gather write per
-    /// syscall. outpos is the bytes of the FRONT frame already written
+    /// Buffers staged for this socket, flushed with one gather write per
+    /// syscall. outpos is the bytes of the FRONT buffer already written
     /// (partial-write resumption); outq_bytes is the staged total that
     /// bounds refill from the peer queue.
-    std::deque<std::string> outq;
+    std::deque<OutBuffer> outq;
     size_t outpos = 0;
     size_t outq_bytes = 0;
+    /// Client connections: a written-out reply buffer, kept empty with
+    /// its capacity so the next round's replies need no allocation.
+    std::string spare;
     bool want_write = false;
     bool flush_scheduled = false;  ///< a flush timer is pending
   };

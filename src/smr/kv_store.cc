@@ -24,35 +24,58 @@ uint64_t HashString(const std::string& s, uint64_t h = 0xcbf29ce484222325ULL) {
 }  // namespace
 
 void KvStateMachine::Apply(SlotId slot, const std::string& payload) {
-  (void)slot;
   if (payload.empty()) return;  // no-op filler
-  Result<std::vector<Transaction>> batch = DecodeBatch(payload);
-  if (!batch.ok()) {
+  // Validate the whole batch first, so a bad one applies nothing.
+  Status valid = ParseBatch(
+      payload, [](const TxnHeader&) {}, [](const OperationView&) {});
+  if (!valid.ok()) {
     // A corrupt decided payload indicates a bug upstream; surface loudly
     // but keep the replica running.
     DPAXOS_ERROR("undecodable command in slot " << slot << ": "
-                                                << batch.status().ToString());
+                                                << valid.ToString());
     return;
   }
-  for (const Transaction& txn : batch.value()) {
-    if (txn.client_id != 0 && !applied_seqs_[txn.client_id].Insert(txn.seq)) {
-      // A client retry that raced an earlier successful submission:
-      // the transaction is already in the log, so applying it again
-      // would violate exactly-once semantics.
-      ++duplicates_skipped_;
-      continue;
-    }
-    ++applied_commands_;
-    for (const Operation& op : txn.ops) {
-      if (op.kind == Operation::Kind::kPut) {
-        data_[op.key] = op.value;
+  bool apply = false;
+  ParseBatch(
+      payload,
+      [&](const TxnHeader& txn) {
+        // A client retry that raced an earlier successful submission is
+        // already in the log: applying it again would violate
+        // exactly-once semantics.
+        apply = txn.client_id == 0 ||
+                applied_seqs_[txn.client_id].Insert(txn.seq);
+        if (apply) {
+          ++applied_commands_;
+        } else {
+          ++duplicates_skipped_;
+        }
+      },
+      [&](const OperationView& op) {
+        if (!apply || op.kind != Operation::Kind::kPut) return;
+        // Values are views into the payload: an existing key's value is
+        // overwritten in place, keeping its capacity.
+        auto it = data_.find(op.key);
+        if (it != data_.end()) {
+          it->second.assign(op.value);
+        } else {
+          data_.emplace(op.key, op.value);
+        }
         ++applied_writes_;
-      }
-    }
-  }
+      });
 }
 
 bool KvStateMachine::ClientWindow::Insert(uint64_t seq) {
+  // The next in-order seq, when the set holds nothing at or below it,
+  // extends the prefix without a set node; the answer and the window are
+  // those the general path below gives.
+  if (seq == prefix + 1 && (sparse.empty() || *sparse.begin() > seq)) {
+    ++prefix;
+    while (!sparse.empty() && *sparse.begin() == prefix + 1) {
+      ++prefix;
+      sparse.erase(sparse.begin());
+    }
+    return true;
+  }
   if (Contains(seq)) return false;
   sparse.insert(seq);
   auto it = sparse.begin();
@@ -74,9 +97,14 @@ bool KvStateMachine::WasApplied(uint64_t client_id, uint64_t seq) const {
 }
 
 std::optional<std::string> KvStateMachine::Get(const std::string& key) const {
+  const std::string* value = Find(key);
+  if (value == nullptr) return std::nullopt;
+  return *value;
+}
+
+const std::string* KvStateMachine::Find(std::string_view key) const {
   auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return it->second;
+  return it == data_.end() ? nullptr : &it->second;
 }
 
 std::string KvStateMachine::Serialize() const {
@@ -158,7 +186,7 @@ std::string KvStateMachine::SerializeFull() const {
 
 Status KvStateMachine::RestoreFull(const std::string& snapshot) {
   ByteReader r(snapshot);
-  std::unordered_map<std::string, std::string> data;
+  KeyValueMap data;
   std::unordered_map<uint64_t, ClientWindow> seqs;
   uint64_t pairs = 0;
   if (!r.ReadU64(&pairs)) return Status::Corruption("kv snapshot truncated");

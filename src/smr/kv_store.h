@@ -5,9 +5,11 @@
 #define DPAXOS_SMR_KV_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -19,14 +21,18 @@ namespace dpaxos {
 ///
 /// Applies transaction batches (see txn::EncodeBatch): every write op in
 /// every transaction of the batch is installed; reads are no-ops at apply
-/// time (they were answered at the leader). A content checksum supports
-/// cross-replica convergence checks in tests.
+/// time (they were answered at the leader). A batch that does not parse
+/// whole applies nothing. A content checksum supports cross-replica
+/// convergence checks in tests.
 class KvStateMachine final : public StateMachine {
  public:
   void Apply(SlotId slot, const std::string& payload) override;
 
   /// Point lookup against the applied state.
   std::optional<std::string> Get(const std::string& key) const;
+  /// The applied value of `key`, without a copy; null if absent. Valid
+  /// until the next Apply or Restore.
+  const std::string* Find(std::string_view key) const;
 
   size_t size() const { return data_.size(); }
   uint64_t applied_commands() const { return applied_commands_; }
@@ -64,7 +70,7 @@ class KvStateMachine final : public StateMachine {
   // Compact per-client dedup window: every seq <= prefix has been
   // applied, plus a sparse set of out-of-order seqs above it. The set
   // drains back into the prefix as gaps fill, so a well-behaved client
-  // costs O(1) amortized space.
+  // costs O(1) amortized space, and its in-order seqs never touch the set.
   struct ClientWindow {
     uint64_t prefix = 0;
     std::set<uint64_t> sparse;
@@ -74,7 +80,20 @@ class KvStateMachine final : public StateMachine {
     bool Contains(uint64_t seq) const;
   };
 
-  std::unordered_map<std::string, std::string> data_;
+  // std::hash<std::string>'s hash, taken over views too, so Apply looks
+  // keys up straight from the payload while the table keeps the buckets
+  // and iteration order std::hash<std::string> gives.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
+  using KeyValueMap =
+      std::unordered_map<std::string, std::string, KeyHash, std::equal_to<>>;
+
+  KeyValueMap data_;
   std::unordered_map<uint64_t, ClientWindow> applied_seqs_;
   uint64_t applied_commands_ = 0;
   uint64_t applied_writes_ = 0;

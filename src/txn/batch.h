@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "common/codec.h"
@@ -31,21 +32,15 @@ class BatchBuilder {
 
   /// Add a transaction; returns true once the batch is full.
   bool Add(const Transaction& txn) {
-    const uint64_t sz = EncodedSize(txn);
-    ByteWriter w(&encoded_);
-    w.Reserve(static_cast<size_t>(sz));
-    w.PutU64(txn.id);
-    w.PutU64(txn.client_id);
-    w.PutU64(txn.seq);
-    w.PutU32(static_cast<uint32_t>(txn.ops.size()));
-    for (const Operation& op : txn.ops) {
-      w.PutU8(static_cast<uint8_t>(op.kind));
-      w.PutString(op.key);
-      w.PutString(op.value);
-    }
-    pending_bytes_ += sz;
-    ++count_;
-    return pending_bytes_ >= target_bytes_;
+    return AddFields(txn.id, txn.client_id, txn.seq, txn.ops);
+  }
+
+  /// Add(Transaction) given the transaction's fields, with operations
+  /// that view their bytes: the same encoding, and the only copy of the
+  /// keys and values is the one into the batch.
+  bool Add(uint64_t id, uint64_t client_id, uint64_t seq,
+           std::span<const OperationView> ops) {
+    return AddFields(id, client_id, seq, ops);
   }
 
   bool empty() const { return count_ == 0; }
@@ -71,6 +66,27 @@ class BatchBuilder {
   }
 
  private:
+  template <typename Ops>
+  bool AddFields(uint64_t id, uint64_t client_id, uint64_t seq,
+                 const Ops& ops) {
+    uint64_t sz = kTxnHeaderBytes;
+    for (const auto& op : ops) sz += EncodedOpSize(op);
+    ByteWriter w(&encoded_);
+    w.Reserve(static_cast<size_t>(sz));
+    w.PutU64(id);
+    w.PutU64(client_id);
+    w.PutU64(seq);
+    w.PutU32(static_cast<uint32_t>(ops.size()));
+    for (const auto& op : ops) {
+      w.PutU8(static_cast<uint8_t>(op.kind));
+      w.PutString(op.key);
+      w.PutString(op.value);
+    }
+    pending_bytes_ += sz;
+    ++count_;
+    return pending_bytes_ >= target_bytes_;
+  }
+
   void ResetBuffer() {
     encoded_.clear();
     encoded_.append(4, '\0');  // count placeholder, patched by Take()

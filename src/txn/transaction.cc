@@ -25,44 +25,30 @@ std::string EncodeBatch(const std::vector<Transaction>& batch) {
 }
 
 Result<std::vector<Transaction>> DecodeBatch(const std::string& payload) {
-  ByteReader r(payload);
-  uint32_t count = 0;
-  if (!r.ReadU32(&count)) return Status::Corruption("truncated batch header");
   std::vector<Transaction> batch;
-  // Never trust an unvalidated count for allocation: each transaction
-  // needs at least 28 encoded bytes, so cap the reservation accordingly
-  // (a hostile count still fails cleanly during parsing).
-  batch.reserve(std::min<size_t>(count, payload.size() / 28 + 1));
-  for (uint32_t i = 0; i < count; ++i) {
-    Transaction txn;
-    uint32_t ops = 0;
-    if (!r.ReadU64(&txn.id) || !r.ReadU64(&txn.client_id) ||
-        !r.ReadU64(&txn.seq) || !r.ReadU32(&ops)) {
-      return Status::Corruption("truncated transaction header");
-    }
-    // Same rule for the op count: an op occupies at least 9 bytes.
-    txn.ops.reserve(std::min<size_t>(ops, payload.size() / 9 + 1));
-    for (uint32_t j = 0; j < ops; ++j) {
-      Operation op;
-      uint8_t kind = 0;
-      if (!r.ReadU8(&kind) || kind > 1 || !r.ReadString(&op.key) ||
-          !r.ReadString(&op.value)) {
-        return Status::Corruption("truncated operation");
-      }
-      op.kind = static_cast<Operation::Kind>(kind);
-      txn.ops.push_back(std::move(op));
-    }
-    batch.push_back(std::move(txn));
-  }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes after batch");
+  Status st = ParseBatch(
+      payload,
+      [&](const TxnHeader& header) {
+        Transaction& txn = batch.emplace_back();
+        txn.id = header.id;
+        txn.client_id = header.client_id;
+        txn.seq = header.seq;
+        // Never trust an unvalidated count for allocation: an op
+        // occupies at least 9 encoded bytes, so cap the reservation (a
+        // hostile count still fails cleanly during parsing).
+        txn.ops.reserve(std::min<size_t>(header.ops, payload.size() / 9 + 1));
+      },
+      [&](const OperationView& op) {
+        batch.back().ops.push_back(
+            Operation{op.kind, std::string(op.key), std::string(op.value)});
+      });
+  if (!st.ok()) return st;
   return batch;
 }
 
 uint64_t EncodedSize(const Transaction& txn) {
-  uint64_t size = 8 + 8 + 8 + 4;  // id + client id + seq + op count
-  for (const Operation& op : txn.ops) {
-    size += 1 + 4 + op.key.size() + 4 + op.value.size();
-  }
+  uint64_t size = kTxnHeaderBytes;
+  for (const Operation& op : txn.ops) size += EncodedOpSize(op);
   return size;
 }
 

@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/status.h"
 
 namespace dpaxos {
@@ -60,15 +62,74 @@ struct Transaction {
   }
 };
 
+/// An Operation whose key and value view bytes owned elsewhere (a
+/// batch payload, a request frame).
+struct OperationView {
+  Operation::Kind kind = Operation::Kind::kGet;
+  std::string_view key;
+  std::string_view value;
+};
+
+/// A transaction's fields ahead of its operations in a batch payload.
+struct TxnHeader {
+  uint64_t id = 0;
+  uint64_t client_id = 0;
+  uint64_t seq = 0;
+  uint32_t ops = 0;  ///< operations that follow
+};
+
 /// Serialize a batch of transactions into a consensus value payload.
 /// Format (little-endian): u32 txn count, then per transaction u64 id,
 /// u64 client id, u64 seq, u32 op count, then per op u8 kind,
 /// u32 key len, key bytes, u32 value len, value bytes.
 std::string EncodeBatch(const std::vector<Transaction>& batch);
 
-/// Parse a payload produced by EncodeBatch. Returns Corruption on any
-/// malformed input (truncation, overflow).
+/// The batch payload parser: walks `payload` in place, calling
+/// on_txn(const TxnHeader&) for each transaction and then
+/// on_op(const OperationView&) for each of its operations, whose views
+/// alias `payload`. Nothing is copied. Returns Corruption on any
+/// malformed input (truncation, overflow, trailing bytes) once the
+/// callbacks for everything before the fault have run, so a caller that
+/// must not act on part of a bad batch parses it once with no-op
+/// callbacks first.
+template <typename OnTxn, typename OnOp>
+Status ParseBatch(std::string_view payload, OnTxn&& on_txn, OnOp&& on_op) {
+  ByteReader r(payload);
+  uint32_t count = 0;
+  if (!r.ReadU32(&count)) return Status::Corruption("truncated batch header");
+  for (uint32_t i = 0; i < count; ++i) {
+    TxnHeader txn;
+    if (!r.ReadU64(&txn.id) || !r.ReadU64(&txn.client_id) ||
+        !r.ReadU64(&txn.seq) || !r.ReadU32(&txn.ops)) {
+      return Status::Corruption("truncated transaction header");
+    }
+    on_txn(txn);
+    for (uint32_t j = 0; j < txn.ops; ++j) {
+      OperationView op;
+      uint8_t kind = 0;
+      if (!r.ReadU8(&kind) || kind > 1 || !r.ReadStringView(&op.key) ||
+          !r.ReadStringView(&op.value)) {
+        return Status::Corruption("truncated operation");
+      }
+      op.kind = static_cast<Operation::Kind>(kind);
+      on_op(op);
+    }
+  }
+  if (!r.AtEnd()) return Status::Corruption("trailing bytes after batch");
+  return Status::OK();
+}
+
+/// Parse a payload produced by EncodeBatch into owned transactions
+/// (ParseBatch, copying). Returns Corruption on any malformed input.
 Result<std::vector<Transaction>> DecodeBatch(const std::string& payload);
+
+/// Serialized size of a transaction's header (id, client id, seq, op
+/// count) and of one operation: what batch budgeting adds up.
+inline constexpr uint64_t kTxnHeaderBytes = 8 + 8 + 8 + 4;
+template <typename Op>
+uint64_t EncodedOpSize(const Op& op) {
+  return 1 + 4 + op.key.size() + 4 + op.value.size();
+}
 
 /// Serialized size of one transaction (for batch budgeting).
 uint64_t EncodedSize(const Transaction& txn);

@@ -127,6 +127,36 @@ TEST(FrozenBytesTest, ClientRequestAndReplyFrames) {
             "2d3031323334353637383940e201000000000002000000");
 }
 
+// A server frames a round's replies into one buffer: each appended frame
+// is the frame EncodeClientReplyFrame returns alone, after whatever the
+// buffer already held.
+TEST(FrozenBytesTest, ClientReplyFramesAppendIntoOneBuffer) {
+  ClientReply reply;
+  reply.request_id = 0x0102030405060708ull;
+  reply.value = "edge-value-0123456789";
+  reply.watermark = 123456;
+  reply.redirect = 2;
+  std::string staged = "staged";
+  AppendClientReplyFrame(reply, &staged);
+  ClientReply failed;
+  failed.request_id = 9;
+  failed.status_code = 5;
+  AppendClientReplyFrame(failed, &staged);
+  ClientReply put;
+  put.request_id = 10;
+  put.value = "17";
+  put.watermark = 17;
+  AppendClientReplyFrame(put, &staged);
+  EXPECT_EQ(Hex(staged),
+            Hex("staged") +
+                "2f000000b739543f0408070605040302010015000000656467652d76616c"
+                "75652d3031323334353637383940e201000000000002000000"
+                "1a0000003ae7ed2604090000000000000005000000000000000000000000"
+                "ffffffff"
+                "1c000000d3c73c99040a0000000000000000020000003137110000000000"
+                "0000ffffffff");
+}
+
 // Node 0's transport dials a raw listener standing in for node 1 and
 // sends one decide; the bytes on the socket are its HELLO frame and the
 // decide's node-message frame.

@@ -83,6 +83,7 @@ class PipelinedClient {
         Result<ClientReply> reply = ParseClientReply(body);
         ASSERT_TRUE(reply.ok()) << reply.status().ToString();
         const uint64_t id = reply.value().request_id;
+        arrivals_.push_back(id);
         if (!replies_.emplace(id, std::move(reply).value()).second) {
           ++duplicate_replies_;
         }
@@ -92,6 +93,8 @@ class PipelinedClient {
 
   bool Answered(uint64_t id) const { return replies_.count(id) > 0; }
   const ClientReply& Reply(uint64_t id) const { return replies_.at(id); }
+  /// Request ids in the order their replies arrived.
+  const std::vector<uint64_t>& arrivals() const { return arrivals_; }
   size_t replies() const { return replies_.size(); }
   int duplicate_replies() const { return duplicate_replies_; }
   uint64_t bytes_written() const { return bytes_written_; }
@@ -115,6 +118,7 @@ class PipelinedClient {
   uint64_t next_id_ = 1;
   FrameDecoder decoder_;
   std::map<uint64_t, ClientReply> replies_;
+  std::vector<uint64_t> arrivals_;
   int duplicate_replies_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t bytes_read_ = 0;
@@ -239,6 +243,38 @@ TEST_F(NodeServerTest, PutsToOneKeyTakeSlotsInSendOrder) {
   ASSERT_TRUE(SpinUntilAnswered(client, {read}));
   ASSERT_EQ(client.Reply(read).status_code, Code(StatusCode::kOk));
   EXPECT_EQ(client.Reply(read).value, "second");
+}
+
+TEST_F(NodeServerTest, PipelinedPutsToOneKeyShareRoundsInSendOrder) {
+  StartCluster({0, 1});
+  PipelinedClient client(server(0).listen_port(), 21);
+  ASSERT_TRUE(client.connected());
+  const uint64_t warm = client.Put("warm", "x");
+  ASSERT_TRUE(SpinUntilAnswered(client, {warm}));
+  const uint64_t writes_before = server(0).transport().stats().writev_calls;
+
+  // Every Put after the first closes the batch before it, so each one
+  // takes a slot of its own; the closed batches go out together and
+  // their replies share the leader's writes.
+  constexpr int kPuts = 500;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kPuts; ++i) ids.push_back(client.Put("k", Name("v", i)));
+  ASSERT_TRUE(SpinUntilAnswered(client, ids));
+  const uint64_t writes =
+      server(0).transport().stats().writev_calls - writes_before;
+
+  const std::vector<uint64_t> arrivals(client.arrivals().begin() + 1,
+                                       client.arrivals().end());
+  EXPECT_EQ(arrivals, ids);
+  SlotId last = client.Reply(warm).watermark;
+  for (uint64_t id : ids) {
+    ASSERT_EQ(client.Reply(id).status_code, Code(StatusCode::kOk));
+    EXPECT_GT(client.Reply(id).watermark, last) << "request " << id;
+    last = client.Reply(id).watermark;
+  }
+  // One batch in flight at a time would flush every reply alone.
+  EXPECT_LT(writes, static_cast<uint64_t>(kPuts / 8));
+  EXPECT_EQ(client.duplicate_replies(), 0);
 }
 
 TEST_F(NodeServerTest, PipelinedGetSeesEarlierPutOnFollower) {

@@ -19,6 +19,16 @@ Value PutValue(uint64_t id, const std::string& key, const std::string& val) {
   return Value::Of(id, EncodeBatch({txn}));
 }
 
+Transaction TaggedPut(uint64_t client_id, uint64_t seq, const std::string& key,
+                      const std::string& val) {
+  Transaction txn;
+  txn.id = seq + 1;
+  txn.client_id = client_id;
+  txn.seq = seq;
+  txn.ops = {Operation::Put(key, val)};
+  return txn;
+}
+
 TEST(LogApplierTest, AppliesContiguously) {
   KvStateMachine kv;
   LogApplier applier(&kv);
@@ -107,6 +117,70 @@ TEST(KvStateMachineTest, NoOpAndGarbagePayloadsAreHarmless) {
   kv.Apply(1, "garbage!");  // undecodable: logged, not applied
   EXPECT_EQ(kv.size(), 0u);
   EXPECT_EQ(kv.applied_commands(), 0u);
+}
+
+TEST(KvStateMachineTest, BatchWithTruncatedLastTransactionAppliesNothing) {
+  const std::string whole = EncodeBatch(
+      {TaggedPut(7, 1, "a", "1"), TaggedPut(7, 2, "b", "22")});
+  KvStateMachine kv;
+  // A cut inside the second transaction leaves the first one whole; no
+  // cut may apply it or fill the client's dedup window.
+  for (size_t length = 1; length < whole.size(); ++length) {
+    kv.Apply(length, whole.substr(0, length));
+    ASSERT_EQ(kv.size(), 0u) << "length " << length;
+    ASSERT_EQ(kv.applied_commands(), 0u) << "length " << length;
+    ASSERT_FALSE(kv.WasApplied(7, 1)) << "length " << length;
+  }
+  kv.Apply(whole.size(), whole);
+  EXPECT_EQ(kv.Get("a"), "1");
+  EXPECT_EQ(kv.Get("b"), "22");
+  EXPECT_EQ(kv.applied_commands(), 2u);
+}
+
+// One client's seqs applied one per slot, and whether each was applied
+// or skipped as a duplicate: the answers of the window before in-order
+// seqs bypassed its set. The snapshot size pins the window itself: it
+// grows 8 bytes per seq left in the sparse set (a seq-0 entry never
+// drains, so everything after it stays sparse).
+TEST(KvStateMachineTest, DedupWindowKeepsItsAnswers) {
+  struct Case {
+    const char* name;
+    std::vector<uint64_t> seqs;
+    std::vector<bool> applied;
+    size_t snapshot_bytes;
+  };
+  const std::vector<Case> cases = {
+      {"in order", {1, 2, 3, 4, 5}, {true, true, true, true, true}, 74},
+      {"gap then fill",
+       {1, 3, 5, 2, 4, 6, 3},
+       {true, true, true, true, true, true, false},
+       74},
+      {"open gap", {1, 3, 5, 3}, {true, true, true, false}, 90},
+      {"duplicates",
+       {1, 1, 2, 2, 1, 3},
+       {true, false, true, false, false, true},
+       74},
+      {"seq 0",
+       {0, 0, 1, 0, 2, 1, 3},
+       {true, false, true, false, true, false, true},
+       106},
+      {"starts above 1",
+       {4, 5, 1, 2, 3, 5},
+       {true, true, true, true, true, false},
+       74},
+  };
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.seqs.size(), c.applied.size()) << c.name;
+    KvStateMachine kv;
+    for (size_t i = 0; i < c.seqs.size(); ++i) {
+      const uint64_t skipped = kv.duplicates_skipped();
+      kv.Apply(i, EncodeBatch({TaggedPut(5, c.seqs[i], "k", "v")}));
+      EXPECT_EQ(kv.duplicates_skipped() == skipped, c.applied[i])
+          << c.name << ", seq " << c.seqs[i] << " at step " << i;
+      EXPECT_TRUE(kv.WasApplied(5, c.seqs[i])) << c.name << ", step " << i;
+    }
+    EXPECT_EQ(kv.SerializeFull().size(), c.snapshot_bytes) << c.name;
+  }
 }
 
 TEST(KvStateMachineTest, ChecksumTracksContentNotOrder) {

@@ -626,7 +626,7 @@ TEST_F(TcpTransportTest, ClientRepliesKeepRequestOrderAndShareWrites) {
   TcpTransport server(&loop, 0, {HostPort{"127.0.0.1", 0}});
   ASSERT_TRUE(server.Listen().ok());
   server.set_client_request_handler(
-      [&](uint64_t conn, uint64_t, const ClientRequest& req) {
+      [&](uint64_t conn, uint64_t, const ClientRequestView& req) {
         ClientReply reply;
         reply.request_id = req.request_id;
         reply.value = req.value;
@@ -682,8 +682,13 @@ TEST_F(TcpTransportTest, ClientRepliesKeepRequestOrderAndShareWrites) {
   for (int i = 0; i < kRequests; ++i) {
     EXPECT_EQ(reply_ids[i], static_cast<uint64_t>(i + 1));
   }
+  // The replies of a round share one staged buffer, but the counters
+  // count frames: one out per reply, and every write's frames (the call
+  // plus the frames coalesced into it) add up to the replies.
   const TcpTransportStats& stats = server.stats();
   EXPECT_EQ(stats.frames_out, static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(stats.writev_calls + stats.frames_coalesced,
+            static_cast<uint64_t>(kRequests));
   EXPECT_LT(stats.writev_calls, static_cast<uint64_t>(kRequests));
   loop.UnwatchFd(client.value());
   close(client.value());

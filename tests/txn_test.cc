@@ -161,6 +161,44 @@ TEST(BatchBuilderTest, IncrementalEncodeMatchesEncodeBatch) {
             EncodeBatch({SampleTxn(99)}));
 }
 
+// The field-level Add a server uses (views of the request frame) writes
+// the bytes Add(Transaction) writes, for a Put and for a Get's zero-op
+// transaction, alone and side by side.
+TEST(BatchBuilderTest, FieldAddMatchesTransactionAdd) {
+  Transaction put;
+  put.id = 5;
+  put.client_id = 9;
+  put.seq = 12;
+  put.ops = {Operation::Put("user:42", "edge-value-0123456789")};
+  Transaction get;
+  get.id = 6;
+  get.client_id = 9;
+  get.seq = 13;
+  const std::string key = "user:42";
+  const std::string value = "edge-value-0123456789";
+  const OperationView op{Operation::Kind::kPut, key, value};
+
+  BatchBuilder by_txn(1 << 20);
+  BatchBuilder by_fields(1 << 20);
+  by_txn.Add(put);
+  by_fields.Add(5, 9, 12, {&op, 1});
+  EXPECT_EQ(by_fields.pending_bytes(), by_txn.pending_bytes());
+  EXPECT_EQ(by_fields.Take(1).payload, by_txn.Take(1).payload);
+
+  by_txn.Add(get);
+  by_fields.Add(6, 9, 13, {});
+  EXPECT_EQ(by_fields.pending_bytes(), by_txn.pending_bytes());
+  EXPECT_EQ(by_fields.Take(2).payload, by_txn.Take(2).payload);
+
+  by_txn.Add(put);
+  by_txn.Add(get);
+  by_fields.Add(5, 9, 12, {&op, 1});
+  by_fields.Add(6, 9, 13, {});
+  const std::string both = by_fields.Take(3).payload;
+  EXPECT_EQ(both, by_txn.Take(3).payload);
+  EXPECT_EQ(both, EncodeBatch({put, get}));
+}
+
 TEST(BatchBuilderTest, EmptyBatchMatchesEncodeBatch) {
   BatchBuilder builder(64);
   EXPECT_EQ(builder.Take(1).payload, EncodeBatch({}));
