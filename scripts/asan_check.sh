@@ -4,8 +4,9 @@
 # Builds the repo with -DDPAXOS_SANITIZE=address,undefined (both abort on
 # their first report: -fno-sanitize-recover) and runs the targets that
 # shuffle raw bytes around: the CRC-32 equivalence and frozen-bytes
-# cells (the sliced loop reads unaligned words; a direct misaligned load
-# fails here), the envelope unit tests, the wire codec fuzzers (hostile
+# cells (the sliced loop reads unaligned words and the folded loop
+# unaligned 16-byte blocks; a direct misaligned load fails here), the
+# envelope unit tests, the wire codec fuzzers (hostile
 # length prefixes, splices, bit flips), the catch-up/snapshot-transfer
 # integration tests, and the chaos recovery cells (chunk reassembly +
 # install under crashes). Any heap overflow, use-after-free in the
@@ -31,13 +32,15 @@ cmake --build "$BUILD_DIR" \
 export ASAN_OPTIONS="abort_on_error=1:detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
-# CRC-32: every length and alignment of the sliced loop, plus the frame
-# and WAL bytes it checksums.
+# CRC-32: every length and alignment of the folded loop (on x86-64 with
+# PCLMULQDQ: unaligned 16-byte loads, the sliced loop on the tail) and of
+# the sliced loop alone, plus the frame and WAL bytes they checksum.
 "$BUILD_DIR/tests/crc32_test"
 # In-order apply hands the state machine the caller's payload (no copy),
 # which it applies through views into that payload after parsing it
-# whole (truncated at every length); snapshot serialization sorts
-# pointers into the live maps.
+# whole (truncated at every length); snapshot serialization walks the
+# key index, pointers into the live map that every restore rebuilds
+# (the random-steps cell installs images between Puts).
 "$BUILD_DIR/tests/smr_test" --gtest_filter='LogApplierTest.*:KvStateMachineTest.*'
 # The field-level batch Add encodes request views straight into the batch.
 "$BUILD_DIR/tests/txn_test" --gtest_filter='BatchBuilderTest.*'

@@ -5,10 +5,13 @@
 // record header (storage/wal.h). Lives in common/ so net does not have
 // to link smr just for a checksum.
 //
-// It runs on every frame the serving path sends or receives, so it is
-// computed slicing-by-16 (16 bytes per step, tables built at compile
-// time) rather than a byte at a time; the checksum itself is the same,
-// bit for bit (tests/crc32_test.cc).
+// It runs on every frame the serving path sends or receives and on every
+// snapshot image, so it is not computed a byte at a time. On x86-64 CPUs
+// with PCLMULQDQ (checked once, at run time) inputs of 64 bytes and more
+// are folded 64 bytes per step with carry-less multiply; shorter inputs,
+// the tail of a folded one, other CPUs and other architectures run
+// slicing-by-16 (16 bytes per step, tables built at compile time). The
+// checksum is the same, bit for bit, either way (tests/crc32_test.cc).
 #ifndef DPAXOS_COMMON_CRC32_H_
 #define DPAXOS_COMMON_CRC32_H_
 

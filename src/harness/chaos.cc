@@ -108,7 +108,7 @@ void ChaosRun::WireNode(NodeId node) {
       [this, node](SlotId* through) {
         NodeApp& a = *apps_[node];
         *through = a.applier.applied_watermark();
-        return EncodeSnapshot(*through, a.sm.SerializeFull());
+        return EncodeKvSnapshot(*through, a.sm);
       },
       [this, node](SlotId through, const std::string& envelope) {
         Result<Snapshot> snap = DecodeSnapshot(envelope);

@@ -111,7 +111,7 @@ Status NodeServer::Start() {
   replica_->set_snapshot_hooks(
       [this](SlotId* through) {
         *through = applier_.applied_watermark();
-        return EncodeSnapshot(*through, kv_.SerializeFull());
+        return EncodeKvSnapshot(*through, kv_);
       },
       [this](SlotId through, const std::string& envelope) {
         Result<Snapshot> snap = DecodeSnapshot(envelope);

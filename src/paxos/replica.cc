@@ -1806,6 +1806,9 @@ Status Replica::Compact(SlotId through) {
     return Status::FailedPrecondition(
         "snapshot hooks required before compacting history");
   }
+  // The release point never exceeds min(through, watermark_): when that
+  // is already released, skip serializing an image nobody would keep.
+  if (std::min(through, watermark_) <= log_start_) return Status::OK();
   // Snapshot first: everything we drop must be covered by a durable,
   // CRC-protected image. The provider reports the true coverage slot,
   // which may exceed the requested compaction point.

@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "common/logging.h"
+#include "smr/snapshot.h"
 #include "txn/transaction.h"
 
 namespace dpaxos {
@@ -56,9 +57,11 @@ void KvStateMachine::Apply(SlotId slot, const std::string& payload) {
         // overwritten in place, keeping its capacity.
         auto it = data_.find(op.key);
         if (it != data_.end()) {
+          pair_bytes_ = pair_bytes_ - it->second.size() + op.value.size();
           it->second.assign(op.value);
         } else {
-          data_.emplace(op.key, op.value);
+          pair_bytes_ += 8 + op.key.size() + op.value.size();
+          index_.insert(&*data_.emplace(op.key, op.value).first);
         }
         ++applied_writes_;
       });
@@ -107,66 +110,31 @@ const std::string* KvStateMachine::Find(std::string_view key) const {
   return it == data_.end() ? nullptr : &it->second;
 }
 
-std::string KvStateMachine::Serialize() const {
-  // Reuse the transaction codec: one put per pair, sorted for canonical
-  // output.
-  std::vector<std::pair<std::string, std::string>> pairs(data_.begin(),
-                                                         data_.end());
-  std::sort(pairs.begin(), pairs.end());
-  Transaction all;
-  all.id = 0;
-  all.ops.reserve(pairs.size());
-  for (auto& [k, v] : pairs) {
-    all.ops.push_back(Operation::Put(std::move(k), std::move(v)));
-  }
-  return EncodeBatch({all});
-}
-
-Status KvStateMachine::Restore(const std::string& snapshot) {
-  Result<std::vector<Transaction>> decoded = DecodeBatch(snapshot);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded->size() != 1) {
-    return Status::Corruption("snapshot must hold exactly one batch entry");
-  }
-  data_.clear();
-  for (const Operation& op : decoded->front().ops) {
-    if (op.kind != Operation::Kind::kPut) {
-      return Status::Corruption("snapshot contains a non-put op");
-    }
-    data_[op.key] = op.value;
-  }
-  return Status::OK();
-}
-
 std::string KvStateMachine::SerializeFull() const {
-  // Sort pointers to the entries, not copies of them. Keys are unique,
-  // so ordering by key alone gives the same order (and bytes) as
-  // sorting the pairs.
-  using Entry = std::pair<const std::string, std::string>;
-  std::vector<const Entry*> pairs;
-  pairs.reserve(data_.size());
+  std::string out;
+  SerializeFull(&out);
+  return out;
+}
+
+size_t KvStateMachine::SerializedSize() const {
   // u64 counts for the pairs, the clients and the three counters.
-  size_t bytes = 5 * 8;
-  for (const Entry& entry : data_) {
-    pairs.push_back(&entry);
-    bytes += 8 + entry.first.size() + entry.second.size();
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const Entry* a, const Entry* b) {
-    return a->first < b->first;
-  });
-  std::vector<uint64_t> clients;
-  clients.reserve(applied_seqs_.size());
+  size_t bytes = 5 * 8 + pair_bytes_;
   for (const auto& [id, window] : applied_seqs_) {
-    clients.push_back(id);
     bytes += 3 * 8 + 8 * window.sparse.size();
   }
+  return bytes;
+}
+
+void KvStateMachine::SerializeFull(std::string* out) const {
+  std::vector<uint64_t> clients;
+  clients.reserve(applied_seqs_.size());
+  for (const auto& [id, window] : applied_seqs_) clients.push_back(id);
   std::sort(clients.begin(), clients.end());
 
-  std::string out;
-  ByteWriter w(&out);
-  w.Reserve(bytes);
-  w.PutU64(pairs.size());
-  for (const Entry* entry : pairs) {
+  ByteWriter w(out);
+  w.Reserve(SerializedSize());
+  w.PutU64(index_.size());
+  for (const Entry* entry : index_) {
     w.PutString(entry->first);
     w.PutString(entry->second);
   }
@@ -181,12 +149,12 @@ std::string KvStateMachine::SerializeFull() const {
   w.PutU64(applied_commands_);
   w.PutU64(applied_writes_);
   w.PutU64(duplicates_skipped_);
-  return out;
 }
 
 Status KvStateMachine::RestoreFull(const std::string& snapshot) {
   ByteReader r(snapshot);
   KeyValueMap data;
+  KeyIndex index;
   std::unordered_map<uint64_t, ClientWindow> seqs;
   uint64_t pairs = 0;
   if (!r.ReadU64(&pairs)) return Status::Corruption("kv snapshot truncated");
@@ -195,7 +163,13 @@ Status KvStateMachine::RestoreFull(const std::string& snapshot) {
     if (!r.ReadString(&k) || !r.ReadString(&v)) {
       return Status::Corruption("kv snapshot truncated");
     }
-    data[std::move(k)] = std::move(v);
+    auto [it, created] = data.insert_or_assign(std::move(k), std::move(v));
+    // SerializeFull writes the keys in order, so each lands at the end.
+    if (created) index.emplace_hint(index.end(), &*it);
+  }
+  size_t pair_bytes = 0;
+  for (const Entry& entry : data) {
+    pair_bytes += 8 + entry.first.size() + entry.second.size();
   }
   uint64_t clients = 0;
   if (!r.ReadU64(&clients)) return Status::Corruption("kv snapshot truncated");
@@ -217,12 +191,25 @@ Status KvStateMachine::RestoreFull(const std::string& snapshot) {
       !r.AtEnd()) {
     return Status::Corruption("kv snapshot malformed");
   }
-  data_ = std::move(data);
+  // Swapping keeps every node where it is, so the new index points into
+  // data_ from here on.
+  data_.swap(data);
+  index_.swap(index);
+  pair_bytes_ = pair_bytes;
   applied_seqs_ = std::move(seqs);
   applied_commands_ = commands;
   applied_writes_ = writes;
   duplicates_skipped_ = dups;
   return Status::OK();
+}
+
+std::string EncodeKvSnapshot(SlotId through_slot, const KvStateMachine& kv) {
+  std::string envelope;
+  envelope.reserve(kSnapshotEnvelopeBytes + kv.SerializedSize());
+  const size_t start = BeginSnapshot(through_slot, &envelope);
+  kv.SerializeFull(&envelope);
+  FinishSnapshot(start, &envelope);
+  return envelope;
 }
 
 uint64_t KvStateMachine::Checksum() const {

@@ -26,12 +26,18 @@ namespace dpaxos {
 /// convergence checks in tests.
 class KvStateMachine final : public StateMachine {
  public:
+  KvStateMachine() = default;
+  // The key index points into the object's own map, and a LogApplier
+  // holds the machine's address: neither copies nor moves.
+  KvStateMachine(const KvStateMachine&) = delete;
+  KvStateMachine& operator=(const KvStateMachine&) = delete;
+
   void Apply(SlotId slot, const std::string& payload) override;
 
   /// Point lookup against the applied state.
   std::optional<std::string> Get(const std::string& key) const;
   /// The applied value of `key`, without a copy; null if absent. Valid
-  /// until the next Apply or Restore.
+  /// until the next Apply or RestoreFull.
   const std::string* Find(std::string_view key) const;
 
   size_t size() const { return data_.size(); }
@@ -48,19 +54,19 @@ class KvStateMachine final : public StateMachine {
   /// checksums on two replicas mean convergent state.
   uint64_t Checksum() const;
 
-  /// Serialize the full state for snapshot transfer (sorted, so equal
-  /// states serialize identically).
-  std::string Serialize() const;
-
-  /// Replace the state with a previously serialized snapshot. Returns
-  /// Corruption on malformed input, leaving the state unchanged.
-  Status Restore(const std::string& snapshot);
-
-  /// Like Serialize(), but also captures the per-client dedup windows
-  /// and apply counters. Snapshot-installing a replica needs these:
-  /// without the windows a client retry straddling the snapshot point
-  /// would be applied twice during residual log replay.
+  /// Serialize the full state for snapshot transfer: the pairs in key
+  /// order (so equal states serialize identically), the per-client
+  /// dedup windows and the apply counters. Snapshot-installing a
+  /// replica needs the windows: without them a client retry straddling
+  /// the snapshot point would be applied twice during residual log
+  /// replay.
   std::string SerializeFull() const;
+  /// Append SerializeFull()'s bytes to `out`, e.g. straight into a
+  /// snapshot envelope (EncodeKvSnapshot below).
+  void SerializeFull(std::string* out) const;
+  /// The size of SerializeFull()'s bytes, computed without walking the
+  /// pairs, so a caller can reserve the buffer around them.
+  size_t SerializedSize() const;
 
   /// Counterpart of SerializeFull(). Returns Corruption on malformed
   /// input, leaving the state unchanged.
@@ -92,13 +98,36 @@ class KvStateMachine final : public StateMachine {
 
   using KeyValueMap =
       std::unordered_map<std::string, std::string, KeyHash, std::equal_to<>>;
+  using Entry = KeyValueMap::value_type;
+
+  struct EntryKeyLess {
+    bool operator()(const Entry* a, const Entry* b) const {
+      return a->first < b->first;
+    }
+  };
+  // The map's entries in key order, so SerializeFull walks the state in
+  // order instead of sorting it. A map node never moves (rehashing
+  // relinks it), so its address stays valid until its key is erased;
+  // only creating a key touches the index, at O(log n).
+  using KeyIndex = std::set<const Entry*, EntryKeyLess>;
 
   KeyValueMap data_;
+  KeyIndex index_;
+  // SerializeFull's bytes for the pairs: a length prefix and the bytes
+  // of every key and value, kept as keys are created and values
+  // overwritten.
+  size_t pair_bytes_ = 0;
   std::unordered_map<uint64_t, ClientWindow> applied_seqs_;
   uint64_t applied_commands_ = 0;
   uint64_t applied_writes_ = 0;
   uint64_t duplicates_skipped_ = 0;
 };
+
+/// The snapshot envelope (smr/snapshot.h) of `kv`'s state, covering the
+/// slots below `through_slot`: EncodeSnapshot(through_slot,
+/// kv.SerializeFull())'s bytes, with the image serialized straight into
+/// the envelope's one buffer.
+std::string EncodeKvSnapshot(SlotId through_slot, const KvStateMachine& kv);
 
 }  // namespace dpaxos
 

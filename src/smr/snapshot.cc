@@ -1,24 +1,48 @@
 #include "smr/snapshot.h"
 
+#include <cstring>
+
 #include "common/codec.h"
 
 namespace dpaxos {
 
+namespace {
+
+// The envelope up to its payload: magic, version, through and the
+// payload's length prefix (all of it but the trailing checksum).
+constexpr size_t kHeaderBytes = kSnapshotEnvelopeBytes - 4;
+
+}  // namespace
+
 std::string EncodeSnapshot(SlotId through_slot, std::string_view payload) {
   std::string out;
-  out.reserve(4 + 4 + 8 + 4 + payload.size() + 4);
-  ByteWriter w(&out);
+  out.reserve(kSnapshotEnvelopeBytes + payload.size());
+  const size_t start = BeginSnapshot(through_slot, &out);
+  out.append(payload);
+  FinishSnapshot(start, &out);
+  return out;
+}
+
+size_t BeginSnapshot(SlotId through_slot, std::string* out) {
+  const size_t start = out->size();
+  ByteWriter w(out);
   w.PutU32(kSnapshotMagic);
   w.PutU32(kSnapshotVersion);
   w.PutU64(through_slot);
-  w.PutString(payload);
-  w.PutU32(Crc32(out));
-  return out;
+  w.PutU32(0);  // payload length, filled in by FinishSnapshot
+  return start;
+}
+
+void FinishSnapshot(size_t start, std::string* out) {
+  const uint32_t length =
+      static_cast<uint32_t>(out->size() - start - kHeaderBytes);
+  std::memcpy(out->data() + start + kHeaderBytes - 4, &length, 4);
+  ByteWriter(out).PutU32(Crc32(std::string_view(*out).substr(start)));
 }
 
 Result<Snapshot> DecodeSnapshot(std::string_view bytes) {
   // The CRC trails the envelope: everything before it is covered.
-  if (bytes.size() < 4 + 4 + 8 + 4 + 4) {
+  if (bytes.size() < kSnapshotEnvelopeBytes) {
     return Status::Corruption("snapshot envelope truncated");
   }
   ByteReader r(bytes);

@@ -45,8 +45,22 @@ struct Snapshot {
 // The envelope's checksum is Crc32 from common/crc32.h (included above
 // so existing callers keep finding it through this header).
 
+/// Bytes the envelope adds around its payload: the header (magic,
+/// version, through, payload length) and the trailing checksum.
+inline constexpr size_t kSnapshotEnvelopeBytes = 4 + 4 + 8 + 4 + 4;
+
 /// Wrap `payload` (covering slots [0, through_slot)) in the envelope.
 std::string EncodeSnapshot(SlotId through_slot, std::string_view payload);
+
+/// The envelope around a payload serialized in place, so its bytes are
+/// written once: BeginSnapshot appends the header (with a placeholder
+/// payload length) to `out` and returns where the envelope starts;
+/// append the payload after it, then FinishSnapshot fills in the length
+/// and appends the checksum. The bytes are EncodeSnapshot's. Reserve
+/// kSnapshotEnvelopeBytes plus the payload's size up front, or the
+/// checksum's append may copy the whole envelope.
+size_t BeginSnapshot(SlotId through_slot, std::string* out);
+void FinishSnapshot(size_t start, std::string* out);
 
 /// Verify and unwrap an envelope. Status::Corruption on any bit flip,
 /// truncation, bad magic, or unknown version — the payload is only

@@ -139,6 +139,44 @@ TEST(CatchUpTest, TruncationGuards) {
   EXPECT_EQ(r->DecidedWatermark(), 5u);  // watermark unaffected
 }
 
+// Compact serializes an image only when it can release something: an
+// idle node's periodic sweep must not pay for an image it would drop.
+TEST(CatchUpTest, CompactSkipsTheImageWhenNothingCanBeReleased) {
+  ClusterOptions options;
+  options.replica.enable_compaction = true;
+  Cluster cluster(Topology::AwsSevenZones(), ProtocolMode::kLeaderZone,
+                  options);
+  const NodeId leader = cluster.NodeInZone(0);
+  ASSERT_TRUE(cluster.ElectLeader(leader).ok());
+  for (uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(cluster.Commit(leader, PutValue(i, "k", "v")).ok());
+  }
+  Replica* r = cluster.replica(leader);
+  KvStateMachine kv;
+  int images = 0;
+  r->set_snapshot_hooks(
+      [&](SlotId* through) {
+        ++images;
+        *through = r->DecidedWatermark();
+        return EncodeSnapshot(*through, kv.SerializeFull());
+      },
+      [](SlotId, const std::string&) { return Status::OK(); });
+
+  ASSERT_TRUE(r->Compact(5).ok());
+  EXPECT_EQ(images, 1);
+  EXPECT_EQ(r->log_start(), 5u);
+  EXPECT_EQ(r->counters().log_compactions, 1u);
+
+  // Nothing was decided since: the sweep's next Compact has nothing to
+  // release, and neither does one below the released prefix.
+  ASSERT_TRUE(r->Compact(5).ok());
+  ASSERT_TRUE(r->Compact(99).ok());
+  ASSERT_TRUE(r->Compact(3).ok());
+  EXPECT_EQ(images, 1);
+  EXPECT_EQ(r->log_start(), 5u);
+  EXPECT_EQ(r->counters().log_compactions, 1u);
+}
+
 TEST(CatchUpTest, SnapshotFallbackAfterTruncation) {
   // Full flow: leader applies+snapshots+truncates; a blank replica must
   // recover via snapshot + log tail and converge to identical KV state.
@@ -352,22 +390,6 @@ TEST(CatchUpTest, ConflictingDecideIsDroppedNotFatal) {
       cluster.NodeInZone(1), std::make_shared<DecideMsg>(0, slot, PutValue(2, "a", "X")));
   EXPECT_EQ(learner->counters().suspect_msgs_rejected, 1u);
   EXPECT_TRUE(learner->decided().at(slot) == original);
-}
-
-TEST(CatchUpTest, KvSnapshotRoundTrip) {
-  KvStateMachine a;
-  Transaction txn;
-  txn.id = 1;
-  txn.ops = {Operation::Put("x", "1"), Operation::Put("y", "2")};
-  a.Apply(0, EncodeBatch({txn}));
-
-  KvStateMachine b;
-  ASSERT_TRUE(b.Restore(a.Serialize()).ok());
-  EXPECT_EQ(a.Checksum(), b.Checksum());
-  EXPECT_EQ(b.Get("x"), "1");
-
-  EXPECT_FALSE(b.Restore("garbage").ok());
-  EXPECT_EQ(b.Get("x"), "1");  // unchanged on failure
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 //
 //   * Equivalence: Crc32 equals a bit-at-a-time reference of the IEEE
 //     802.3 reflected CRC for every length 0-1100 at every start offset
-//     0-15 of a random buffer (every alignment and tail length of the
-//     sliced loop), and for a 1 MiB buffer.
+//     0-15 of a random buffer (every alignment and tail length of both
+//     loops), and for a 1 MiB buffer. Each cell checks both paths:
+//     Crc32 itself, which folds inputs of 64 bytes and more when the CPU
+//     has carry-less multiply, and the slicing-by-16 loop alone.
 //   * Frozen bytes: a client request and reply frame, a node-message
 //     frame as TcpTransport puts it on the wire, and a WAL segment
 //     holding one record, compared byte for byte with what an earlier
@@ -22,6 +24,7 @@
 #include <string_view>
 
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "common/random.h"
 #include "net/tcp/event_loop.h"
 #include "net/tcp/framing.h"
@@ -83,27 +86,41 @@ Value BatchValue() {
   return Value::Of(77, EncodeBatch({txn}));
 }
 
+// The two paths Crc32 can take. On a CPU without carry-less multiply
+// the first is the sliced loop too.
+struct CrcPath {
+  const char* name;
+  uint32_t (*crc)(std::string_view);
+};
+constexpr CrcPath kPaths[] = {{"Crc32", &Crc32},
+                              {"Crc32Sliced", &crc32_internal::Crc32Sliced}};
+
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   constexpr size_t kMaxLength = 1100;
   constexpr size_t kOffsets = 16;
   const std::string buffer = RandomBytes(kMaxLength + kOffsets, 14);
-  for (size_t offset = 0; offset < kOffsets; ++offset) {
-    uint32_t reg = 0xFFFFFFFFu;
-    for (size_t length = 0; length <= kMaxLength; ++length) {
-      if (length > 0) {
-        reg = ReferenceUpdate(
-            reg, static_cast<uint8_t>(buffer[offset + length - 1]));
+  for (const CrcPath& path : kPaths) {
+    for (size_t offset = 0; offset < kOffsets; ++offset) {
+      uint32_t reg = 0xFFFFFFFFu;
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        if (length > 0) {
+          reg = ReferenceUpdate(
+              reg, static_cast<uint8_t>(buffer[offset + length - 1]));
+        }
+        ASSERT_EQ(path.crc(std::string_view(buffer).substr(offset, length)),
+                  reg ^ 0xFFFFFFFFu)
+            << path.name << ", offset " << offset << ", length " << length;
       }
-      ASSERT_EQ(Crc32(std::string_view(buffer).substr(offset, length)),
-                reg ^ 0xFFFFFFFFu)
-          << "offset " << offset << ", length " << length;
     }
   }
 }
 
 TEST(Crc32Test, MatchesBitwiseReferenceOnOneMebibyte) {
   const std::string buffer = RandomBytes(1 << 20, 15);
-  EXPECT_EQ(Crc32(buffer), ReferenceCrc32(buffer));
+  const uint32_t expected = ReferenceCrc32(buffer);
+  for (const CrcPath& path : kPaths) {
+    EXPECT_EQ(path.crc(buffer), expected) << path.name;
+  }
 }
 
 TEST(FrozenBytesTest, ClientRequestAndReplyFrames) {

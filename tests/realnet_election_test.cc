@@ -9,6 +9,7 @@
 // the tier-1 ctest default because it depends on wall-clock timing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <optional>
@@ -50,7 +51,7 @@ class RealnetElectionTest : public ::testing::Test {
 
     const std::vector<HostPort> any(kNodes, HostPort{"127.0.0.1", 0});
     for (NodeId n = 0; n < kNodes; ++n) {
-      auto& node = nodes_.emplace_back();
+      auto& node = nodes_[n];
       node.transport =
           std::make_unique<TcpTransport>(loop_.get(), n, any);
       node.transport->set_wire_codec(
@@ -100,7 +101,8 @@ class RealnetElectionTest : public ::testing::Test {
   std::optional<Topology> topology_;
   std::unique_ptr<QuorumSystem> quorums_;
   std::unique_ptr<EventLoop> loop_;
-  std::vector<RealNode> nodes_;
+  // In place: a node's KvStateMachine neither copies nor moves.
+  std::array<RealNode, kNodes> nodes_;
 };
 
 TEST_F(RealnetElectionTest, ElectsAndCommitsOnRealClock) {

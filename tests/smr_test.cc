@@ -3,6 +3,15 @@
 // consensus run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "common/codec.h"
+#include "common/random.h"
 #include "harness/cluster.h"
 #include "smr/kv_store.h"
 #include "smr/log_applier.h"
@@ -203,6 +212,94 @@ TEST(KvStateMachineTest, ChecksumTracksContentNotOrder) {
   t3.ops = {Operation::Put("x", "DIFFERENT")};
   b.Apply(2, EncodeBatch({t3}));
   EXPECT_NE(a.Checksum(), b.Checksum());
+}
+
+// What a KvStateMachine fed only in-order tagged Puts holds, kept apart
+// from it: the pairs, each client's last seq and the counters.
+struct KvModel {
+  std::unordered_map<std::string, std::string> pairs;
+  std::map<uint64_t, uint64_t> last_seq;  // client id -> applied prefix
+  uint64_t commands = 0;
+  uint64_t writes = 0;
+};
+
+// SerializeFull's bytes for `model`, computed without any index: gather
+// a copy of the pairs and sort it.
+std::string ReferenceImage(const KvModel& model) {
+  std::vector<std::pair<std::string, std::string>> pairs(model.pairs.begin(),
+                                                         model.pairs.end());
+  std::sort(pairs.begin(), pairs.end());
+  std::string out;
+  ByteWriter w(&out);
+  w.PutU64(pairs.size());
+  for (const auto& [key, value] : pairs) {
+    w.PutString(key);
+    w.PutString(value);
+  }
+  w.PutU64(model.last_seq.size());
+  for (const auto& [client, seq] : model.last_seq) {
+    w.PutU64(client);
+    w.PutU64(seq);  // the prefix; in-order seqs leave no sparse entries
+    w.PutU64(0);
+  }
+  w.PutU64(model.commands);
+  w.PutU64(model.writes);
+  w.PutU64(0);  // no duplicates
+  return out;
+}
+
+std::string RandomBytes(Rng& rng, size_t max_length) {
+  // A small alphabet with NUL and 0xff, so keys share prefixes and
+  // order by unsigned bytes.
+  static constexpr char kAlphabet[] = {'a', 'b', '\0', '\xff'};
+  std::string out(rng.NextBounded(max_length + 1), '\0');
+  for (char& c : out) c = kAlphabet[rng.NextBounded(4)];
+  return out;
+}
+
+// The key index under random traffic: Puts that create keys, Puts that
+// overwrite them and installs of another machine's image, on three
+// machines. After every step the machine's image must be the one a
+// gather-and-sort of its pairs gives, and SerializedSize its size.
+TEST(KvStateMachineTest, KeyIndexMatchesSortedReferenceUnderRandomSteps) {
+  constexpr int kMachines = 3;
+  constexpr int kSteps = 4000;
+  Rng rng(0x5eed1dc5);
+  std::vector<KvStateMachine> kvs(kMachines);
+  std::vector<KvModel> models(kMachines);
+  for (int step = 0; step < kSteps; ++step) {
+    const size_t m = rng.NextBounded(kMachines);
+    KvStateMachine& kv = kvs[m];
+    KvModel& model = models[m];
+    const uint64_t action = rng.NextBounded(10);
+    if (action == 9) {
+      const size_t from = (m + 1 + rng.NextBounded(kMachines - 1)) % kMachines;
+      ASSERT_TRUE(kv.RestoreFull(kvs[from].SerializeFull()).ok());
+      model = models[from];
+    } else {
+      std::string key;
+      if (action < 5 || model.pairs.empty()) {
+        do {
+          key = RandomBytes(rng, 8);
+        } while (model.pairs.count(key) > 0);
+      } else {
+        auto it = model.pairs.begin();
+        std::advance(it, rng.NextBounded(model.pairs.size()));
+        key = it->first;
+      }
+      const std::string value = RandomBytes(rng, 40);
+      const uint64_t client = 1 + rng.NextBounded(3);
+      const uint64_t seq = ++model.last_seq[client];
+      kv.Apply(step, EncodeBatch({TaggedPut(client, seq, key, value)}));
+      model.pairs[key] = value;
+      ++model.commands;
+      ++model.writes;
+    }
+    const std::string image = kv.SerializeFull();
+    ASSERT_EQ(image, ReferenceImage(model))
+        << "machine " << m << ", step " << step << ", action " << action;
+    ASSERT_EQ(kv.SerializedSize(), image.size()) << "step " << step;
+  }
 }
 
 TEST(SmrIntegrationTest, ReplicasConvergeThroughConsensus) {

@@ -173,12 +173,47 @@ TEST(KvSnapshotTest, RestoreFullRejectsEveryTruncation) {
     KvStateMachine victim;
     victim.Apply(0, PutValue(2, "pre", "existing"));
     const uint64_t before = victim.Checksum();
+    const std::string before_bytes = victim.SerializeFull();
     Status st = victim.RestoreFull(full.substr(0, cut));
     ASSERT_FALSE(st.ok()) << "prefix of length " << cut << " restored";
     EXPECT_EQ(st.code(), StatusCode::kCorruption);
-    // Failed restore must leave the state untouched.
+    // Failed restore must leave the state untouched: the pairs, their
+    // key index, the windows and the counters.
     EXPECT_EQ(victim.Checksum(), before);
+    EXPECT_EQ(victim.SerializeFull(), before_bytes);
   }
+}
+
+// The providers serialize the image straight into its envelope
+// (EncodeKvSnapshot); the bytes must be EncodeSnapshot's, wherever the
+// envelope starts.
+TEST(KvSnapshotTest, EnvelopeBuiltInPlaceMatchesEncodeSnapshot) {
+  KvStateMachine kv;
+  for (uint64_t i = 0; i < 200; ++i) {
+    kv.Apply(i, PutValue(i + 1, "key" + std::to_string(i % 70),
+                         std::string(i % 13, 'v'), /*client_id=*/1 + i % 3,
+                         /*seq=*/1 + i / 3));
+  }
+  kv.Apply(200, PutValue(201, "sparse", "x", /*client_id=*/9, /*seq=*/4));
+  for (const std::string& prefix : {std::string(), std::string("earlier")}) {
+    std::string buffer = prefix;
+    buffer.reserve(prefix.size() + kSnapshotEnvelopeBytes +
+                   kv.SerializedSize());
+    const size_t start = BeginSnapshot(/*through_slot=*/201, &buffer);
+    kv.SerializeFull(&buffer);
+    FinishSnapshot(start, &buffer);
+    EXPECT_EQ(start, prefix.size());
+    EXPECT_EQ(buffer.substr(0, start), prefix);
+    EXPECT_EQ(buffer.substr(start), EncodeSnapshot(201, kv.SerializeFull()));
+    EXPECT_EQ(buffer.size() - start,
+              kSnapshotEnvelopeBytes + kv.SerializedSize());
+  }
+  EXPECT_EQ(EncodeKvSnapshot(201, kv),
+            EncodeSnapshot(201, kv.SerializeFull()));
+  // An empty state too.
+  KvStateMachine empty;
+  EXPECT_EQ(EncodeKvSnapshot(0, empty),
+            EncodeSnapshot(0, empty.SerializeFull()));
 }
 
 // Full pipeline a lossy restart exercises: state -> SerializeFull ->
