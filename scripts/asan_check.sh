@@ -6,8 +6,10 @@
 # shuffle raw bytes around: the CRC-32 equivalence and frozen-bytes
 # cells (the sliced loop reads unaligned words and the folded loop
 # unaligned 16-byte blocks; a direct misaligned load fails here), the
-# envelope unit tests, the wire codec fuzzers (hostile
-# length prefixes, splices, bit flips), the catch-up/snapshot-transfer
+# envelope unit tests, the wire codec fuzzers (one specimen of every
+# message type under hostile length prefixes, splices and bit flips;
+# every decoder is generated from the field layouts in
+# paxos/wire_layout.h), the catch-up/snapshot-transfer
 # integration tests, and the chaos recovery cells (chunk reassembly +
 # install under crashes). Any heap overflow, use-after-free in the
 # reassembly buffer, OOB read in the decoder or misaligned access fails
@@ -45,6 +47,9 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # The field-level batch Add encodes request views straight into the batch.
 "$BUILD_DIR/tests/txn_test" --gtest_filter='BatchBuilderTest.*'
 "$BUILD_DIR/tests/snapshot_test"
+# The codec runs each message's layout both ways: the specimens of all
+# 35 types, every truncation, flip and splice of them, and every tag
+# byte outside the message list.
 "$BUILD_DIR/tests/wire_fuzz_test"
 "$BUILD_DIR/tests/wire_test"
 "$BUILD_DIR/tests/catchup_test"
@@ -74,9 +79,11 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # in flight at once.
 "$BUILD_DIR/tests/node_server_test"
 # WAL + fault-injecting Env: recovery parses raw frame bytes off disk
-# (torn tails, flipped bits — classic OOB territory), the group-commit
-# path retains reply callbacks across fsyncs, and the truncation/bit-flip
-# sweeps re-open the log hundreds of times.
+# through the same field layouts as the wire (torn tails, flipped bits —
+# classic OOB territory; the hostile-count cell hands it a checksummed
+# intent count no record can hold), the group-commit path retains reply
+# callbacks across fsyncs, and the truncation/bit-flip sweeps re-open
+# the log hundreds of times.
 "$BUILD_DIR/tests/wal_test"
 # Ownership steal path: the transfer-record codec parses hostile
 # tagged values, the StealRequest/OwnershipGrant exchange moves Values

@@ -13,7 +13,6 @@
 #include "net/topology.h"
 #include "smr/kv_store.h"
 #include "smr/log_applier.h"
-#include "smr/snapshot.h"
 #include "txn/transaction.h"
 
 namespace dpaxos {
@@ -111,16 +110,8 @@ void ChaosRun::WireNode(NodeId node) {
         return EncodeKvSnapshot(*through, a.sm);
       },
       [this, node](SlotId through, const std::string& envelope) {
-        Result<Snapshot> snap = DecodeSnapshot(envelope);
-        if (!snap.ok()) return snap.status();
-        if (snap->through_slot != through) {
-          return Status::Corruption("snapshot coverage mismatch");
-        }
         NodeApp& a = *apps_[node];
-        Status st = a.sm.RestoreFull(snap->payload);
-        if (!st.ok()) return st;
-        a.applier.FastForwardTo(through);
-        return Status::OK();
+        return InstallKvSnapshot(through, envelope, &a.sm, &a.applier);
       });
 }
 
@@ -132,17 +123,13 @@ void ChaosRun::OnNodeRestart(NodeId node) {
     // silently wrong state. On failure the replica sheds the snapshot
     // and recovers from its peers instead.
     apps_[node] = std::make_unique<NodeApp>();
+    NodeApp& a = *apps_[node];
     Replica* replica = cluster_->replica(node);
     const std::string& durable = replica->acceptor().snapshot_bytes();
     if (!durable.empty()) {
-      Result<Snapshot> snap = DecodeSnapshot(durable);
-      Status st = snap.ok() ? apps_[node]->sm.RestoreFull(snap->payload)
-                            : snap.status();
-      if (st.ok()) {
-        apps_[node]->applier.FastForwardTo(replica->acceptor().snapshot_through());
-      } else {
-        replica->DropInstalledSnapshot();
-      }
+      Status st = InstallKvSnapshot(replica->acceptor().snapshot_through(),
+                                    durable, &a.sm, &a.applier);
+      if (!st.ok()) replica->DropInstalledSnapshot();
     }
   }
   WireNode(node);  // NodeHost::Restart dropped the decide callback

@@ -13,7 +13,6 @@
 #include "common/logging.h"
 #include "common/perf_counters.h"
 #include "paxos/wire.h"
-#include "smr/snapshot.h"
 #include "txn/transaction.h"
 
 namespace dpaxos {
@@ -114,24 +113,7 @@ Status NodeServer::Start() {
         return EncodeKvSnapshot(*through, kv_);
       },
       [this](SlotId through, const std::string& envelope) {
-        Result<Snapshot> snap = DecodeSnapshot(envelope);
-        if (!snap.ok()) return snap.status();
-        // `through` rode the chunk messages unauthenticated; the copy
-        // inside the envelope is CRC-protected. A mismatch means a
-        // corrupted through_slot field — installing would teleport the
-        // watermark to a fiction.
-        if (snap->through_slot != through) {
-          return Status::Corruption("snapshot coverage mismatch");
-        }
-        // An image the applier has already passed (the start-up catch-up
-        // racing live traffic, or a lagging peer) holds nothing new, and
-        // restoring it would roll the state back under a watermark that
-        // stays put: stale reads from then on.
-        if (through <= applier_.applied_watermark()) return Status::OK();
-        Status restored = kv_.RestoreFull(snap->payload);
-        if (!restored.ok()) return restored;
-        applier_.FastForwardTo(through);
-        return Status::OK();
+        return InstallKvSnapshot(through, envelope, &kv_, &applier_);
       });
   if (options_.leader_hint != kInvalidNode) {
     replica_->set_leader_hint(options_.leader_hint);
@@ -155,11 +137,10 @@ Status NodeServer::Start() {
     // the disk is the only source, which is the point of WAL mode.
     const std::string& durable = replica_->acceptor().snapshot_bytes();
     if (!durable.empty()) {
-      Result<Snapshot> snap = DecodeSnapshot(durable);
       Status restored =
-          snap.ok() ? kv_.RestoreFull(snap.value().payload) : snap.status();
+          InstallKvSnapshot(replica_->acceptor().snapshot_through(), durable,
+                            &kv_, &applier_);
       if (restored.ok()) {
-        applier_.FastForwardTo(replica_->acceptor().snapshot_through());
         DPAXOS_INFO("node " << options_.node
                             << " restored snapshot from wal through "
                             << replica_->acceptor().snapshot_through());

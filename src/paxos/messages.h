@@ -2,7 +2,9 @@
 //
 // One partition = one Paxos instance; every message carries the partition
 // id so a NodeHost can demultiplex. SizeBytes() models serialized size
-// for the bandwidth model: a fixed header plus per-field payloads.
+// for the bandwidth model: a fixed header plus per-field payloads. Every
+// message can be built from its partition alone, each field at its
+// default; the codec decodes into such a message (paxos/wire_layout.h).
 #ifndef DPAXOS_PAXOS_MESSAGES_H_
 #define DPAXOS_PAXOS_MESSAGES_H_
 
@@ -64,6 +66,49 @@ enum class WireType : uint8_t {
   kOwnershipGrant = 36,
 };
 
+/// Every wire message once: X(Prepare) stands for WireType::kPrepare and
+/// PrepareMsg. The list generates the codec's encode and decode switches
+/// (paxos/wire.cc) and Replica::HandleMessage, which hands X(Name) to
+/// Replica::OnName. Adding a message takes four edits: its WireType,
+/// its struct, its DPAXOS_LAYOUT line (paxos/wire_layout.h) and its
+/// entry here; a WireType with no entry fails the build.
+#define DPAXOS_WIRE_MESSAGES(X) \
+  X(Prepare)                    \
+  X(Promise)                    \
+  X(PrepareNack)                \
+  X(Propose)                    \
+  X(Accept)                     \
+  X(AcceptNack)                 \
+  X(Decide)                     \
+  X(HandoffRequest)             \
+  X(Relinquish)                 \
+  X(GcPoll)                     \
+  X(GcPollReply)                \
+  X(GcThreshold)                \
+  X(LzPrepare)                  \
+  X(LzPromise)                  \
+  X(LzPropose)                  \
+  X(LzAccept)                   \
+  X(LzNack)                     \
+  X(LzTransition)               \
+  X(LzTransitionAck)            \
+  X(LzStoreIntents)             \
+  X(LzStoreAck)                 \
+  X(LzAnnounce)                 \
+  X(Forward)                    \
+  X(ForwardReply)               \
+  X(LearnRequest)               \
+  X(LearnReply)                 \
+  X(SnapshotRequest)            \
+  X(Heartbeat)                  \
+  X(SnapshotChunk)              \
+  X(FastAccept)                 \
+  X(FastAccepted)               \
+  X(FastNack)                   \
+  X(FastGrant)                  \
+  X(StealRequest)               \
+  X(OwnershipGrant)
+
 /// \brief Common base: every protocol message belongs to a partition.
 struct PaxosMessage : Message {
   explicit PaxosMessage(PartitionId p) : partition(p) {}
@@ -83,6 +128,7 @@ inline uint64_t IntentsWireSize(const std::vector<Intent>& intents) {
 /// `expansion` marks the second round sent to detected intents' quorums;
 /// it carries the same ballot and intents as the first round.
 struct PrepareMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   PrepareMsg(PartitionId p, Ballot b, SlotId first, std::vector<Intent> in,
              bool exp, LeaderZoneView view)
       : PaxosMessage(p),
@@ -93,9 +139,9 @@ struct PrepareMsg final : PaxosMessage {
         lz_view(view) {}
 
   Ballot ballot;
-  SlotId first_slot;
+  SlotId first_slot = 0;
   std::vector<Intent> intents;
-  bool expansion;
+  bool expansion = false;
   LeaderZoneView lz_view;
 
   uint64_t SizeBytes() const override {
@@ -113,7 +159,7 @@ struct PrepareMsg final : PaxosMessage {
 /// same ballot, because the leader only classic-proposes over fast votes
 /// once no fast value can reach unanimity (docs/PROTOCOL.md).
 struct AcceptedEntry {
-  SlotId slot;
+  SlotId slot = 0;
   Ballot ballot;
   Value value;
   bool fast = false;
@@ -121,6 +167,7 @@ struct AcceptedEntry {
 
 /// promise(q, v_q, p, intents): positive Leader Election vote.
 struct PromiseMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   PromiseMsg(PartitionId p, Ballot b, bool exp)
       : PaxosMessage(p), ballot(b), expansion(exp) {}
 
@@ -129,7 +176,7 @@ struct PromiseMsg final : PaxosMessage {
   /// Echo of PrepareMsg::expansion, so the candidate can tell which round
   /// this vote belongs to (intents from expansion-round promises may be
   /// discarded, paper Section 4.3.1).
-  bool expansion;
+  bool expansion = false;
   /// Previously accepted entries for slots >= the prepare's first_slot.
   std::vector<AcceptedEntry> accepted;
   /// Previously stored intents (paper: "list of previously received
@@ -165,6 +212,7 @@ struct PromiseMsg final : PaxosMessage {
 /// a read lease blocks elections, or the aspirant's Leader Zone view is
 /// stale (redirect).
 struct PrepareNackMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   PrepareNackMsg(PartitionId p, Ballot b) : PaxosMessage(p), ballot(b) {}
 
   /// The prepare ballot being rejected.
@@ -188,11 +236,12 @@ struct PrepareNackMsg final : PaxosMessage {
 
 /// propose(p, v) for one slot (the paper's accept-request).
 struct ProposeMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   ProposeMsg(PartitionId p, Ballot b, SlotId s, Value v)
       : PaxosMessage(p), ballot(b), slot(s), value(std::move(v)) {}
 
   Ballot ballot;
-  SlotId slot;
+  SlotId slot = 0;
   Value value;
   /// Piggybacked read-lease request (paper Section 4.5): an accept doubles
   /// as a lease vote valid until `lease_until`.
@@ -217,11 +266,12 @@ struct ProposeMsg final : PaxosMessage {
 
 /// accept(p): positive Replication vote for one slot.
 struct AcceptMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   AcceptMsg(PartitionId p, Ballot b, SlotId s)
       : PaxosMessage(p), ballot(b), slot(s) {}
 
   Ballot ballot;
-  SlotId slot;
+  SlotId slot = 0;
   /// Piggybacked lease vote (paper Section 4.5).
   bool lease_vote = false;
   Timestamp lease_until = 0;
@@ -235,11 +285,12 @@ struct AcceptMsg final : PaxosMessage {
 
 /// Negative Replication vote: the acceptor promised a higher ballot.
 struct AcceptNackMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   AcceptNackMsg(PartitionId p, Ballot b, SlotId s, Ballot prom)
       : PaxosMessage(p), ballot(b), slot(s), promised(prom) {}
 
   Ballot ballot;
-  SlotId slot;
+  SlotId slot = 0;
   Ballot promised;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 40; }
@@ -251,10 +302,11 @@ struct AcceptNackMsg final : PaxosMessage {
 
 /// Commit notification from the leader to learners.
 struct DecideMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   DecideMsg(PartitionId p, SlotId s, Value v)
       : PaxosMessage(p), slot(s), value(std::move(v)) {}
 
-  SlotId slot;
+  SlotId slot = 0;
   Value value;
 
   uint64_t SizeBytes() const override {
@@ -268,6 +320,7 @@ struct DecideMsg final : PaxosMessage {
 
 /// Leader liveness beacon to its replication quorum (failure detector).
 struct HeartbeatMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   HeartbeatMsg(PartitionId p, Ballot b) : PaxosMessage(p), ballot(b) {}
 
   Ballot ballot;
@@ -294,11 +347,12 @@ struct HeartbeatMsg final : PaxosMessage {
 /// as a prepare-lite (receivers promise the ballot); `first_slot` fences
 /// fast votes above every slot committed at earlier ballots.
 struct FastGrantMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   FastGrantMsg(PartitionId p, Ballot b, SlotId first, std::vector<NodeId> q)
       : PaxosMessage(p), ballot(b), first_slot(first), quorum(std::move(q)) {}
 
   Ballot ballot;
-  SlotId first_slot;
+  SlotId first_slot = 0;
   /// The pinned fast quorum of this ballot (sorted, includes the leader).
   std::vector<NodeId> quorum;
 
@@ -315,11 +369,12 @@ struct FastGrantMsg final : PaxosMessage {
 /// slot at `ballot`. `request_id` identifies the proposer's attempt so
 /// the leader can answer its fallback resolution like a forward.
 struct FastAcceptMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   FastAcceptMsg(PartitionId p, Ballot b, uint64_t id, Value v)
       : PaxosMessage(p), ballot(b), request_id(id), value(std::move(v)) {}
 
   Ballot ballot;
-  uint64_t request_id;
+  uint64_t request_id = 0;
   Value value;
 
   uint64_t SizeBytes() const override {
@@ -335,6 +390,7 @@ struct FastAcceptMsg final : PaxosMessage {
 /// Carries the value so the leader can classic-repropose it on conflict
 /// or timeout without another fetch.
 struct FastAcceptedMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   FastAcceptedMsg(PartitionId p, Ballot b, SlotId s, NodeId prop,
                   uint64_t id, Value v)
       : PaxosMessage(p),
@@ -345,9 +401,9 @@ struct FastAcceptedMsg final : PaxosMessage {
         value(std::move(v)) {}
 
   Ballot ballot;
-  SlotId slot;
-  NodeId proposer;
-  uint64_t request_id;
+  SlotId slot = 0;
+  NodeId proposer = kInvalidNode;
+  uint64_t request_id = 0;
   Value value;
 
   uint64_t SizeBytes() const override {
@@ -363,12 +419,13 @@ struct FastAcceptedMsg final : PaxosMessage {
 /// armed, or a higher promise). The proposer falls back to the classic
 /// forward path, toward `leader_hint` when known.
 struct FastNackMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   FastNackMsg(PartitionId p, Ballot b, Ballot prom, uint64_t id)
       : PaxosMessage(p), ballot(b), promised(prom), request_id(id) {}
 
   Ballot ballot;
   Ballot promised;
-  uint64_t request_id;
+  uint64_t request_id = 0;
   NodeId leader_hint = kInvalidNode;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 44; }
@@ -383,10 +440,11 @@ struct FastNackMsg final : PaxosMessage {
 
 /// A non-leader replica forwards a client value to the partition leader.
 struct ForwardMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   ForwardMsg(PartitionId p, uint64_t id, Value v)
       : PaxosMessage(p), request_id(id), value(std::move(v)) {}
 
-  uint64_t request_id;
+  uint64_t request_id = 0;
   Value value;
 
   uint64_t SizeBytes() const override {
@@ -401,10 +459,11 @@ struct ForwardMsg final : PaxosMessage {
 /// Answer to a forwarded request: committed, failed, or a redirect to the
 /// node the responder believes is the leader.
 struct ForwardReplyMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   ForwardReplyMsg(PartitionId p, uint64_t id)
       : PaxosMessage(p), request_id(id) {}
 
-  uint64_t request_id;
+  uint64_t request_id = 0;
   StatusCode code = StatusCode::kOk;
   SlotId slot = kInvalidSlot;
   /// On kFailedPrecondition: where to retry (kInvalidNode if unknown).
@@ -426,17 +485,18 @@ struct ForwardReplyMsg final : PaxosMessage {
 
 /// One decided (slot, value) pair shipped during catch-up.
 struct DecidedEntryWire {
-  SlotId slot;
+  SlotId slot = 0;
   Value value;
 };
 
 /// Ask a peer for its decided entries starting at `from_slot`.
 struct LearnRequestMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LearnRequestMsg(PartitionId p, SlotId from, uint32_t max)
       : PaxosMessage(p), from_slot(from), max_entries(max) {}
 
-  SlotId from_slot;
-  uint32_t max_entries;
+  SlotId from_slot = 0;
+  uint32_t max_entries = 0;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 12; }
   const char* TypeName() const override { return "learn-request"; }
@@ -476,7 +536,7 @@ struct SnapshotRequestMsg final : PaxosMessage {
   explicit SnapshotRequestMsg(PartitionId p, uint64_t off = 0)
       : PaxosMessage(p), offset(off) {}
 
-  uint64_t offset;
+  uint64_t offset = 0;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 8; }
   const char* TypeName() const override { return "snapshot-request"; }
@@ -490,6 +550,7 @@ struct SnapshotRequestMsg final : PaxosMessage {
 /// chunks by offset until `total_bytes` arrive, then verifies the CRC of
 /// the whole envelope before installing anything.
 struct SnapshotChunkMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   SnapshotChunkMsg(PartitionId p, SlotId through, uint64_t off,
                    uint64_t total, std::string bytes)
       : PaxosMessage(p),
@@ -498,12 +559,12 @@ struct SnapshotChunkMsg final : PaxosMessage {
         total_bytes(total),
         data(std::move(bytes)) {}
 
-  SlotId through_slot;
+  SlotId through_slot = 0;
   /// Byte position of `data` within the envelope.
-  uint64_t offset;
+  uint64_t offset = 0;
   /// Size of the full envelope; the last chunk satisfies
   /// offset + data.size() == total_bytes.
-  uint64_t total_bytes;
+  uint64_t total_bytes = 0;
   std::string data;
 
   uint64_t SizeBytes() const override {
@@ -532,6 +593,7 @@ struct HandoffRequestMsg final : PaxosMessage {
 /// relinquish(): transfers the logical leader role. Sent at most once per
 /// slot range; after sending, the old leader stops acting as a leader.
 struct RelinquishMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   RelinquishMsg(PartitionId p, Ballot b, SlotId next,
                 std::vector<Intent> in, LeaderZoneView view)
       : PaxosMessage(p),
@@ -543,7 +605,7 @@ struct RelinquishMsg final : PaxosMessage {
   /// The leadership ballot being transferred.
   Ballot ballot;
   /// First slot the new leader may propose to.
-  SlotId next_slot;
+  SlotId next_slot = 0;
   /// The declared intents; the new leader may only replicate on these
   /// quorums (restriction when combined with Expanding Quorums).
   std::vector<Intent> intents;
@@ -573,14 +635,15 @@ enum class StealRefusal : uint8_t {
 /// (thief side of a steal), or — with `invite` set — the incumbent's
 /// placement sweep asking the recipient to initiate a steal back at it.
 struct StealRequestMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   StealRequestMsg(PartitionId p, Ballot b, ZoneId zone, bool inv)
       : PaxosMessage(p), ballot(b), thief_zone(zone), invite(inv) {}
 
   /// The thief's current ballot, for the incumbent's ObserveBallot;
   /// concurrent steals are ultimately ordered by their election ballots.
   Ballot ballot;
-  ZoneId thief_zone;
-  bool invite;
+  ZoneId thief_zone = kInvalidZone;
+  bool invite = false;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 17; }
   const char* TypeName() const override { return "steal-request"; }
@@ -593,6 +656,7 @@ struct StealRequestMsg final : PaxosMessage {
 /// already stopped proposing when this message is sent — and carries
 /// what the thief needs to catch up before its takeover election.
 struct OwnershipGrantMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   OwnershipGrantMsg(PartitionId p, bool g, StealRefusal r, Ballot b,
                     SlotId next, uint64_t decided, bool snap, NodeId hint)
       : PaxosMessage(p),
@@ -604,19 +668,19 @@ struct OwnershipGrantMsg final : PaxosMessage {
         snapshot_ready(snap),
         leader_hint(hint) {}
 
-  bool granted;
-  StealRefusal reason;
+  bool granted = false;
+  StealRefusal reason = StealRefusal::kNone;
   /// The incumbent's leadership ballot (grant) or its highest observed
   /// ballot (refusal); the thief elects above it either way.
   Ballot ballot;
   /// Fence: the incumbent proposed nothing at or above this slot.
-  SlotId next_slot;
+  SlotId next_slot = 0;
   /// Incumbent's decided-log size, for the thief's catch-up gap.
-  uint64_t decided_size;
+  uint64_t decided_size = 0;
   /// Incumbent can serve a snapshot transfer for the catch-up.
-  bool snapshot_ready;
+  bool snapshot_ready = false;
   /// On kNotLeader refusals: who the refuser believes leads.
-  NodeId leader_hint;
+  NodeId leader_hint = kInvalidNode;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 40; }
   const char* TypeName() const override { return "ownership-grant"; }
@@ -641,6 +705,7 @@ struct GcPollMsg final : PaxosMessage {
 
 /// GC poll answer.
 struct GcPollReplyMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   GcPollReplyMsg(PartitionId p, Ballot b)
       : PaxosMessage(p), max_propose_ballot(b) {}
 
@@ -659,6 +724,7 @@ struct GcPollReplyMsg final : PaxosMessage {
 /// Asynchronous broadcast of the new GC threshold P; receivers drop all
 /// intents with ballot < P.
 struct GcThresholdMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   GcThresholdMsg(PartitionId p, Ballot b) : PaxosMessage(p), threshold(b) {}
 
   Ballot threshold;
@@ -679,10 +745,11 @@ struct GcThresholdMsg final : PaxosMessage {
 
 /// Phase 1 of the Leader Zone Instance synod.
 struct LzPrepareMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzPrepareMsg(PartitionId p, uint64_t e, Ballot b)
       : PaxosMessage(p), epoch(e), ballot(b) {}
 
-  uint64_t epoch;
+  uint64_t epoch = 0;
   Ballot ballot;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 24; }
@@ -693,10 +760,11 @@ struct LzPrepareMsg final : PaxosMessage {
 };
 
 struct LzPromiseMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzPromiseMsg(PartitionId p, uint64_t e, Ballot b)
       : PaxosMessage(p), epoch(e), ballot(b) {}
 
-  uint64_t epoch;
+  uint64_t epoch = 0;
   Ballot ballot;
   /// Previously accepted (ballot, zone), if any.
   Ballot accepted_ballot;
@@ -711,12 +779,13 @@ struct LzPromiseMsg final : PaxosMessage {
 
 /// Phase 2 of the Leader Zone Instance synod: propose `next_zone`.
 struct LzProposeMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzProposeMsg(PartitionId p, uint64_t e, Ballot b, ZoneId z)
       : PaxosMessage(p), epoch(e), ballot(b), next_zone(z) {}
 
-  uint64_t epoch;
+  uint64_t epoch = 0;
   Ballot ballot;
-  ZoneId next_zone;
+  ZoneId next_zone = kInvalidZone;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 28; }
   const char* TypeName() const override { return "lz-propose"; }
@@ -726,12 +795,13 @@ struct LzProposeMsg final : PaxosMessage {
 };
 
 struct LzAcceptMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzAcceptMsg(PartitionId p, uint64_t e, Ballot b, ZoneId z)
       : PaxosMessage(p), epoch(e), ballot(b), next_zone(z) {}
 
-  uint64_t epoch;
+  uint64_t epoch = 0;
   Ballot ballot;
-  ZoneId next_zone;
+  ZoneId next_zone = kInvalidZone;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 28; }
   const char* TypeName() const override { return "lz-accept"; }
@@ -741,11 +811,12 @@ struct LzAcceptMsg final : PaxosMessage {
 };
 
 struct LzNackMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzNackMsg(PartitionId p, uint64_t e, Ballot b, Ballot prom,
             LeaderZoneView view)
       : PaxosMessage(p), epoch(e), ballot(b), promised(prom), lz_view(view) {}
 
-  uint64_t epoch;
+  uint64_t epoch = 0;
   Ballot ballot;
   Ballot promised;
   /// The responder's view — redirects a driver whose view is stale.
@@ -762,11 +833,12 @@ struct LzNackMsg final : PaxosMessage {
 /// phase — return its stored intents, stop storing new ones, and piggyback
 /// the transition in future promises.
 struct LzTransitionMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzTransitionMsg(PartitionId p, uint64_t e, ZoneId z)
       : PaxosMessage(p), epoch(e), next_zone(z) {}
 
-  uint64_t epoch;
-  ZoneId next_zone;
+  uint64_t epoch = 0;
+  ZoneId next_zone = kInvalidZone;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 12; }
   const char* TypeName() const override { return "lz-transition"; }
@@ -776,10 +848,11 @@ struct LzTransitionMsg final : PaxosMessage {
 };
 
 struct LzTransitionAckMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzTransitionAckMsg(PartitionId p, uint64_t e, std::vector<Intent> in)
       : PaxosMessage(p), epoch(e), intents(std::move(in)) {}
 
-  uint64_t epoch;
+  uint64_t epoch = 0;
   /// The old zone node's stored intents, to be re-homed in the next zone.
   std::vector<Intent> intents;
 
@@ -794,12 +867,13 @@ struct LzTransitionAckMsg final : PaxosMessage {
 
 /// Step 2 (continued): store the old zone's intents at the next zone.
 struct LzStoreIntentsMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzStoreIntentsMsg(PartitionId p, uint64_t e, ZoneId z,
                     std::vector<Intent> in)
       : PaxosMessage(p), epoch(e), next_zone(z), intents(std::move(in)) {}
 
-  uint64_t epoch;
-  ZoneId next_zone;
+  uint64_t epoch = 0;
+  ZoneId next_zone = kInvalidZone;
   std::vector<Intent> intents;
 
   uint64_t SizeBytes() const override {
@@ -812,9 +886,10 @@ struct LzStoreIntentsMsg final : PaxosMessage {
 };
 
 struct LzStoreAckMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzStoreAckMsg(PartitionId p, uint64_t e) : PaxosMessage(p), epoch(e) {}
 
-  uint64_t epoch;
+  uint64_t epoch = 0;
 
   uint64_t SizeBytes() const override { return kMessageHeaderBytes + 8; }
   const char* TypeName() const override { return "lz-store-ack"; }
@@ -825,6 +900,7 @@ struct LzStoreAckMsg final : PaxosMessage {
 
 /// Step 3: lazily broadcast announcement that the transition completed.
 struct LzAnnounceMsg final : PaxosMessage {
+  using PaxosMessage::PaxosMessage;
   LzAnnounceMsg(PartitionId p, LeaderZoneView v)
       : PaxosMessage(p), view(v) {}
 

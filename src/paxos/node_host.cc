@@ -56,22 +56,26 @@ void NodeHost::AttachGarbageCollector(GarbageCollector* gc) {
 }
 
 void NodeHost::OnMessage(NodeId from, const MessagePtr& msg) {
-  auto* pm = dynamic_cast<const PaxosMessage*>(msg.get());
-  if (pm == nullptr) {
+  const uint8_t tag = msg->wire_tag();
+  if (tag == 0) {
     DPAXOS_WARN("node " << id_ << " received non-paxos message "
                         << msg->TypeName());
     return;
   }
+  // Only PaxosMessage subclasses carry non-zero wire tags.
+  const auto& pm = static_cast<const PaxosMessage&>(*msg);
   // GC poll replies go to the co-located collector, not the replica.
-  if (auto* reply = dynamic_cast<const GcPollReplyMsg*>(pm)) {
-    auto it = collectors_.find(reply->partition);
-    if (it != collectors_.end()) it->second->OnPollReply(from, *reply);
+  if (static_cast<WireType>(tag) == WireType::kGcPollReply) {
+    auto it = collectors_.find(pm.partition);
+    if (it != collectors_.end()) {
+      it->second->OnPollReply(from, static_cast<const GcPollReplyMsg&>(pm));
+    }
     return;
   }
-  auto it = replicas_.find(pm->partition);
+  auto it = replicas_.find(pm.partition);
   if (it == replicas_.end()) {
     DPAXOS_DEBUG("node " << id_ << " hosts no replica for partition "
-                         << pm->partition);
+                         << pm.partition);
     return;
   }
   it->second->HandleMessage(from, msg);

@@ -2317,79 +2317,19 @@ void Replica::HandleMessage(NodeId from, const MessagePtr& msg) {
   const Message& m = *msg;
   // One virtual call picks the handler; the tag is authoritative for the
   // concrete type (each message class returns its own WireType), so the
-  // static_casts replace the former dynamic_cast probe chain.
+  // static_casts are exact. The switch is generated from the message
+  // list and has no default: a WireType missing from the list fails the
+  // build.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic error "-Wswitch"
   switch (static_cast<WireType>(m.wire_tag())) {
-    case WireType::kPrepare:
-      return OnPrepare(from, static_cast<const PrepareMsg&>(m));
-    case WireType::kPromise:
-      return OnPromise(from, static_cast<const PromiseMsg&>(m));
-    case WireType::kPrepareNack:
-      return OnPrepareNack(from, static_cast<const PrepareNackMsg&>(m));
-    case WireType::kPropose:
-      return OnPropose(from, static_cast<const ProposeMsg&>(m));
-    case WireType::kAccept:
-      return OnAccept(from, static_cast<const AcceptMsg&>(m));
-    case WireType::kAcceptNack:
-      return OnAcceptNack(from, static_cast<const AcceptNackMsg&>(m));
-    case WireType::kDecide:
-      return OnDecide(from, static_cast<const DecideMsg&>(m));
-    case WireType::kHandoffRequest:
-      return OnHandoffRequest(from, static_cast<const HandoffRequestMsg&>(m));
-    case WireType::kHeartbeat:
-      return OnHeartbeat(from, static_cast<const HeartbeatMsg&>(m));
-    case WireType::kRelinquish:
-      return OnRelinquish(from, static_cast<const RelinquishMsg&>(m));
-    case WireType::kStealRequest:
-      return OnStealRequest(from, static_cast<const StealRequestMsg&>(m));
-    case WireType::kOwnershipGrant:
-      return OnOwnershipGrant(from, static_cast<const OwnershipGrantMsg&>(m));
-    case WireType::kForward:
-      return OnForward(from, static_cast<const ForwardMsg&>(m));
-    case WireType::kForwardReply:
-      return OnForwardReply(from, static_cast<const ForwardReplyMsg&>(m));
-    case WireType::kLearnRequest:
-      return OnLearnRequest(from, static_cast<const LearnRequestMsg&>(m));
-    case WireType::kLearnReply:
-      return OnLearnReply(from, static_cast<const LearnReplyMsg&>(m));
-    case WireType::kSnapshotRequest:
-      return OnSnapshotRequest(from, static_cast<const SnapshotRequestMsg&>(m));
-    case WireType::kSnapshotChunk:
-      return OnSnapshotChunk(from, static_cast<const SnapshotChunkMsg&>(m));
-    case WireType::kGcPoll:
-      return OnGcPoll(from, static_cast<const GcPollMsg&>(m));
-    case WireType::kGcThreshold:
-      return OnGcThreshold(from, static_cast<const GcThresholdMsg&>(m));
-    case WireType::kLzPrepare:
-      return OnLzPrepare(from, static_cast<const LzPrepareMsg&>(m));
-    case WireType::kLzPromise:
-      return OnLzPromise(from, static_cast<const LzPromiseMsg&>(m));
-    case WireType::kLzPropose:
-      return OnLzPropose(from, static_cast<const LzProposeMsg&>(m));
-    case WireType::kLzAccept:
-      return OnLzAccept(from, static_cast<const LzAcceptMsg&>(m));
-    case WireType::kLzNack:
-      return OnLzNack(from, static_cast<const LzNackMsg&>(m));
-    case WireType::kLzTransition:
-      return OnLzTransition(from, static_cast<const LzTransitionMsg&>(m));
-    case WireType::kLzTransitionAck:
-      return OnLzTransitionAck(from, static_cast<const LzTransitionAckMsg&>(m));
-    case WireType::kLzStoreIntents:
-      return OnLzStoreIntents(from, static_cast<const LzStoreIntentsMsg&>(m));
-    case WireType::kLzStoreAck:
-      return OnLzStoreAck(from, static_cast<const LzStoreAckMsg&>(m));
-    case WireType::kLzAnnounce:
-      return OnLzAnnounce(from, static_cast<const LzAnnounceMsg&>(m));
-    case WireType::kFastGrant:
-      return OnFastGrant(from, static_cast<const FastGrantMsg&>(m));
-    case WireType::kFastAccept:
-      return OnFastAccept(from, static_cast<const FastAcceptMsg&>(m));
-    case WireType::kFastAccepted:
-      return OnFastAccepted(from, static_cast<const FastAcceptedMsg&>(m));
-    case WireType::kFastNack:
-      return OnFastNack(from, static_cast<const FastNackMsg&>(m));
-    default:
-      break;  // e.g. a GC poll reply, which the replica never consumes
+#define DPAXOS_HANDLE_CASE(Name) \
+  case WireType::k##Name:        \
+    return On##Name(from, static_cast<const Name##Msg&>(m));
+    DPAXOS_WIRE_MESSAGES(DPAXOS_HANDLE_CASE)
+#undef DPAXOS_HANDLE_CASE
   }
+#pragma GCC diagnostic pop
   DPAXOS_WARN("node " << id_ << " ignores unknown message "
               << m.TypeName());
 }

@@ -453,6 +453,8 @@ class Replica {
   void OnSnapshotRequest(NodeId from, const SnapshotRequestMsg& msg);
   void OnSnapshotChunk(NodeId from, const SnapshotChunkMsg& msg);
   void OnGcPoll(NodeId from, const GcPollMsg& msg);
+  /// NodeHost routes poll replies to the co-located GarbageCollector.
+  void OnGcPollReply(NodeId, const GcPollReplyMsg&) {}
   void OnGcThreshold(NodeId from, const GcThresholdMsg& msg);
   void OnLzPrepare(NodeId from, const LzPrepareMsg& msg);
   void OnLzPromise(NodeId from, const LzPromiseMsg& msg);

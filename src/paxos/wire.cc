@@ -7,820 +7,58 @@
 #include "common/codec.h"
 #include "common/perf_counters.h"
 #include "paxos/messages.h"
+#include "paxos/wire_layout.h"
 
 namespace dpaxos {
 
 namespace {
 
-// --- field-group helpers -------------------------------------------------
-//
-// Every Put helper (and per-type Encode below) is templated on the writer
-// so each runs twice per message: once with CountingWriter to size the
-// output, once with ByteWriter to emit into the exactly-reserved buffer.
+/// tag (u8) + partition (u32).
+constexpr size_t kWireHeaderBytes = 5;
 
-template <typename W>
-void PutBallot(W& w, const Ballot& b) {
-  w.PutU64(b.round);
-  w.PutU32(b.node);
-}
-
-bool ReadBallot(ByteReader& r, Ballot* b) {
-  return r.ReadU64(&b->round) && r.ReadU32(&b->node);
-}
-
-template <typename W>
-void PutValue(W& w, const Value& v) {
-  w.PutU64(v.id);
-  w.PutU64(v.size_bytes);
-  w.PutString(v.payload);
-}
-
-bool ReadValue(ByteReader& r, Value* v) {
-  return r.ReadU64(&v->id) && r.ReadU64(&v->size_bytes) &&
-         r.ReadString(&v->payload);
-}
-
-template <typename W>
-void PutView(W& w, const LeaderZoneView& view) {
-  w.PutU64(view.epoch);
-  w.PutU32(view.current);
-  w.PutU32(view.next);
-}
-
-bool ReadView(ByteReader& r, LeaderZoneView* view) {
-  return r.ReadU64(&view->epoch) && r.ReadU32(&view->current) &&
-         r.ReadU32(&view->next);
-}
-
-template <typename W>
-void PutIntent(W& w, const Intent& intent) {
-  PutBallot(w, intent.ballot);
-  w.PutU32(intent.leader);
-  w.PutU32(static_cast<uint32_t>(intent.quorum.size()));
-  for (NodeId n : intent.quorum) w.PutU32(n);
-}
-
-bool ReadIntent(ByteReader& r, Intent* intent) {
-  uint32_t size = 0;
-  if (!ReadBallot(r, &intent->ballot) || !r.ReadU32(&intent->leader) ||
-      !r.ReadU32(&size)) {
-    return false;
-  }
-  if (size > r.remaining() / 4 + 1) return false;  // hostile count
-  intent->quorum.resize(size);
-  for (uint32_t i = 0; i < size; ++i) {
-    if (!r.ReadU32(&intent->quorum[i])) return false;
-  }
-  return true;
-}
-
-template <typename W>
-void PutIntents(W& w, const std::vector<Intent>& intents) {
-  w.PutU32(static_cast<uint32_t>(intents.size()));
-  for (const Intent& in : intents) PutIntent(w, in);
-}
-
-bool ReadIntents(ByteReader& r, std::vector<Intent>* intents) {
-  uint32_t count = 0;
-  if (!r.ReadU32(&count)) return false;
-  if (count > r.remaining() / 20 + 1) return false;
-  intents->resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!ReadIntent(r, &(*intents)[i])) return false;
-  }
-  return true;
-}
-
-template <typename W>
-void PutAcceptedEntry(W& w, const AcceptedEntry& e) {
-  w.PutU64(e.slot);
-  PutBallot(w, e.ballot);
-  PutValue(w, e.value);
-  w.PutBool(e.fast);
-}
-
-bool ReadAcceptedEntry(ByteReader& r, AcceptedEntry* e) {
-  return r.ReadU64(&e->slot) && ReadBallot(r, &e->ballot) &&
-         ReadValue(r, &e->value) && r.ReadBool(&e->fast);
-}
-
-// --- per-type encoders ----------------------------------------------------
-
-template <typename W>
-void Encode(W& w, const PrepareMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.first_slot);
-  PutIntents(w, m.intents);
-  w.PutBool(m.expansion);
-  PutView(w, m.lz_view);
-}
-
-template <typename W>
-void Encode(W& w, const PromiseMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutBool(m.expansion);
-  w.PutU32(static_cast<uint32_t>(m.accepted.size()));
-  for (const AcceptedEntry& e : m.accepted) PutAcceptedEntry(w, e);
-  PutIntents(w, m.intents);
-  PutView(w, m.lz_view);
-  w.PutU64(m.compacted_through);
-}
-
-template <typename W>
-void Encode(W& w, const PrepareNackMsg& m) {
-  PutBallot(w, m.ballot);
-  PutBallot(w, m.promised);
-  w.PutU64(m.lease_until);
-  PutView(w, m.lz_view);
-}
-
-template <typename W>
-void Encode(W& w, const ProposeMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.slot);
-  PutValue(w, m.value);
-  w.PutBool(m.lease_request);
-  w.PutU64(m.lease_until);
-  w.PutBool(m.recovery_complete);
-}
-
-template <typename W>
-void Encode(W& w, const AcceptMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.slot);
-  w.PutBool(m.lease_vote);
-  w.PutU64(m.lease_until);
-}
-
-template <typename W>
-void Encode(W& w, const AcceptNackMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.slot);
-  PutBallot(w, m.promised);
-}
-
-template <typename W>
-void Encode(W& w, const DecideMsg& m) {
-  w.PutU64(m.slot);
-  PutValue(w, m.value);
-}
-
-template <typename W>
-void Encode(W&, const HandoffRequestMsg&) {}
-
-template <typename W>
-void Encode(W& w, const HeartbeatMsg& m) {
-  PutBallot(w, m.ballot);
-}
-
-template <typename W>
-void Encode(W& w, const RelinquishMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.next_slot);
-  PutIntents(w, m.intents);
-  PutView(w, m.lz_view);
-}
-
-template <typename W>
-void Encode(W&, const GcPollMsg&) {}
-
-template <typename W>
-void Encode(W& w, const GcPollReplyMsg& m) {
-  PutBallot(w, m.max_propose_ballot);
-}
-
-template <typename W>
-void Encode(W& w, const GcThresholdMsg& m) {
-  PutBallot(w, m.threshold);
-}
-
-template <typename W>
-void Encode(W& w, const LzPrepareMsg& m) {
-  w.PutU64(m.epoch);
-  PutBallot(w, m.ballot);
-}
-
-template <typename W>
-void Encode(W& w, const LzPromiseMsg& m) {
-  w.PutU64(m.epoch);
-  PutBallot(w, m.ballot);
-  PutBallot(w, m.accepted_ballot);
-  w.PutU32(m.accepted_zone);
-}
-
-template <typename W>
-void Encode(W& w, const LzProposeMsg& m) {
-  w.PutU64(m.epoch);
-  PutBallot(w, m.ballot);
-  w.PutU32(m.next_zone);
-}
-
-template <typename W>
-void Encode(W& w, const LzAcceptMsg& m) {
-  w.PutU64(m.epoch);
-  PutBallot(w, m.ballot);
-  w.PutU32(m.next_zone);
-}
-
-template <typename W>
-void Encode(W& w, const LzNackMsg& m) {
-  w.PutU64(m.epoch);
-  PutBallot(w, m.ballot);
-  PutBallot(w, m.promised);
-  PutView(w, m.lz_view);
-}
-
-template <typename W>
-void Encode(W& w, const LzTransitionMsg& m) {
-  w.PutU64(m.epoch);
-  w.PutU32(m.next_zone);
-}
-
-template <typename W>
-void Encode(W& w, const LzTransitionAckMsg& m) {
-  w.PutU64(m.epoch);
-  PutIntents(w, m.intents);
-}
-
-template <typename W>
-void Encode(W& w, const LzStoreIntentsMsg& m) {
-  w.PutU64(m.epoch);
-  w.PutU32(m.next_zone);
-  PutIntents(w, m.intents);
-}
-
-template <typename W>
-void Encode(W& w, const LzStoreAckMsg& m) {
-  w.PutU64(m.epoch);
-}
-
-template <typename W>
-void Encode(W& w, const LzAnnounceMsg& m) {
-  PutView(w, m.view);
-}
-
-template <typename W>
-void Encode(W& w, const ForwardMsg& m) {
-  w.PutU64(m.request_id);
-  PutValue(w, m.value);
-}
-
-template <typename W>
-void Encode(W& w, const ForwardReplyMsg& m) {
-  w.PutU64(m.request_id);
-  w.PutU8(static_cast<uint8_t>(m.code));
-  w.PutU64(m.slot);
-  w.PutU32(m.leader_hint);
-}
-
-template <typename W>
-void Encode(W& w, const LearnRequestMsg& m) {
-  w.PutU64(m.from_slot);
-  w.PutU32(m.max_entries);
-}
-
-template <typename W>
-void Encode(W& w, const LearnReplyMsg& m) {
-  w.PutU64(m.from_slot);
-  w.PutU32(static_cast<uint32_t>(m.entries.size()));
-  for (const DecidedEntryWire& e : m.entries) {
-    w.PutU64(e.slot);
-    PutValue(w, e.value);
-  }
-  w.PutU64(m.peer_watermark);
-  w.PutU64(m.first_available);
-}
-
-template <typename W>
-void Encode(W& w, const SnapshotRequestMsg& m) {
-  w.PutU64(m.offset);
-}
-
-template <typename W>
-void Encode(W& w, const FastGrantMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.first_slot);
-  w.PutU32(static_cast<uint32_t>(m.quorum.size()));
-  for (NodeId n : m.quorum) w.PutU32(n);
-}
-
-template <typename W>
-void Encode(W& w, const FastAcceptMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.request_id);
-  PutValue(w, m.value);
-}
-
-template <typename W>
-void Encode(W& w, const FastAcceptedMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU64(m.slot);
-  w.PutU32(m.proposer);
-  w.PutU64(m.request_id);
-  PutValue(w, m.value);
-}
-
-template <typename W>
-void Encode(W& w, const FastNackMsg& m) {
-  PutBallot(w, m.ballot);
-  PutBallot(w, m.promised);
-  w.PutU64(m.request_id);
-  w.PutU32(m.leader_hint);
-}
-
-template <typename W>
-void Encode(W& w, const StealRequestMsg& m) {
-  PutBallot(w, m.ballot);
-  w.PutU32(m.thief_zone);
-  w.PutBool(m.invite);
-}
-
-template <typename W>
-void Encode(W& w, const OwnershipGrantMsg& m) {
-  w.PutBool(m.granted);
-  w.PutU8(static_cast<uint8_t>(m.reason));
-  PutBallot(w, m.ballot);
-  w.PutU64(m.next_slot);
-  w.PutU64(m.decided_size);
-  w.PutBool(m.snapshot_ready);
-  w.PutU32(m.leader_hint);
-}
-
-template <typename W>
-void Encode(W& w, const SnapshotChunkMsg& m) {
-  w.PutU64(m.through_slot);
-  w.PutU64(m.offset);
-  w.PutU64(m.total_bytes);
-  w.PutString(m.data);
-}
+// The switches below are generated from DPAXOS_WIRE_MESSAGES and have no
+// default: a WireType missing from the list fails the build.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic error "-Wswitch"
 
 /// Encode the body (everything after the tag+partition header) of `msg`,
 /// whose dynamic type is identified by `type` (its wire_tag()). The tag
 /// was placed on each message by its own class, so the static_cast per
-/// case is exact — this replaces a 29-way dynamic_cast probe with one
-/// virtual call and a jump table.
+/// case is exact.
 template <typename W>
 void EncodeBody(W& w, const Message& msg, WireType type) {
+  WireOut<W> out(w);
   switch (type) {
-    case WireType::kPrepare:
-      Encode(w, static_cast<const PrepareMsg&>(msg));
-      return;
-    case WireType::kPromise:
-      Encode(w, static_cast<const PromiseMsg&>(msg));
-      return;
-    case WireType::kPrepareNack:
-      Encode(w, static_cast<const PrepareNackMsg&>(msg));
-      return;
-    case WireType::kPropose:
-      Encode(w, static_cast<const ProposeMsg&>(msg));
-      return;
-    case WireType::kAccept:
-      Encode(w, static_cast<const AcceptMsg&>(msg));
-      return;
-    case WireType::kAcceptNack:
-      Encode(w, static_cast<const AcceptNackMsg&>(msg));
-      return;
-    case WireType::kDecide:
-      Encode(w, static_cast<const DecideMsg&>(msg));
-      return;
-    case WireType::kHandoffRequest:
-      Encode(w, static_cast<const HandoffRequestMsg&>(msg));
-      return;
-    case WireType::kRelinquish:
-      Encode(w, static_cast<const RelinquishMsg&>(msg));
-      return;
-    case WireType::kGcPoll:
-      Encode(w, static_cast<const GcPollMsg&>(msg));
-      return;
-    case WireType::kGcPollReply:
-      Encode(w, static_cast<const GcPollReplyMsg&>(msg));
-      return;
-    case WireType::kGcThreshold:
-      Encode(w, static_cast<const GcThresholdMsg&>(msg));
-      return;
-    case WireType::kLzPrepare:
-      Encode(w, static_cast<const LzPrepareMsg&>(msg));
-      return;
-    case WireType::kLzPromise:
-      Encode(w, static_cast<const LzPromiseMsg&>(msg));
-      return;
-    case WireType::kLzPropose:
-      Encode(w, static_cast<const LzProposeMsg&>(msg));
-      return;
-    case WireType::kLzAccept:
-      Encode(w, static_cast<const LzAcceptMsg&>(msg));
-      return;
-    case WireType::kLzNack:
-      Encode(w, static_cast<const LzNackMsg&>(msg));
-      return;
-    case WireType::kLzTransition:
-      Encode(w, static_cast<const LzTransitionMsg&>(msg));
-      return;
-    case WireType::kLzTransitionAck:
-      Encode(w, static_cast<const LzTransitionAckMsg&>(msg));
-      return;
-    case WireType::kLzStoreIntents:
-      Encode(w, static_cast<const LzStoreIntentsMsg&>(msg));
-      return;
-    case WireType::kLzStoreAck:
-      Encode(w, static_cast<const LzStoreAckMsg&>(msg));
-      return;
-    case WireType::kLzAnnounce:
-      Encode(w, static_cast<const LzAnnounceMsg&>(msg));
-      return;
-    case WireType::kForward:
-      Encode(w, static_cast<const ForwardMsg&>(msg));
-      return;
-    case WireType::kForwardReply:
-      Encode(w, static_cast<const ForwardReplyMsg&>(msg));
-      return;
-    case WireType::kLearnRequest:
-      Encode(w, static_cast<const LearnRequestMsg&>(msg));
-      return;
-    case WireType::kLearnReply:
-      Encode(w, static_cast<const LearnReplyMsg&>(msg));
-      return;
-    case WireType::kSnapshotRequest:
-      Encode(w, static_cast<const SnapshotRequestMsg&>(msg));
-      return;
-    case WireType::kSnapshotChunk:
-      Encode(w, static_cast<const SnapshotChunkMsg&>(msg));
-      return;
-    case WireType::kHeartbeat:
-      Encode(w, static_cast<const HeartbeatMsg&>(msg));
-      return;
-    case WireType::kFastGrant:
-      Encode(w, static_cast<const FastGrantMsg&>(msg));
-      return;
-    case WireType::kFastAccept:
-      Encode(w, static_cast<const FastAcceptMsg&>(msg));
-      return;
-    case WireType::kFastAccepted:
-      Encode(w, static_cast<const FastAcceptedMsg&>(msg));
-      return;
-    case WireType::kFastNack:
-      Encode(w, static_cast<const FastNackMsg&>(msg));
-      return;
-    case WireType::kStealRequest:
-      Encode(w, static_cast<const StealRequestMsg&>(msg));
-      return;
-    case WireType::kOwnershipGrant:
-      Encode(w, static_cast<const OwnershipGrantMsg&>(msg));
-      return;
+#define DPAXOS_ENCODE_CASE(Name)             \
+  case WireType::k##Name:                    \
+    out(static_cast<const Name##Msg&>(msg)); \
+    return;
+    DPAXOS_WIRE_MESSAGES(DPAXOS_ENCODE_CASE)
+#undef DPAXOS_ENCODE_CASE
   }
   DPAXOS_CHECK_MSG(false, "unserializable message " << msg.TypeName());
 }
 
-// --- per-type decoders ------------------------------------------------------
+template <typename T>
+Result<MessagePtr> DecodeBody(ByteReader& r, PartitionId partition) {
+  auto msg = std::make_shared<T>(partition);
+  if (!WireIn(r)(*msg)) return Status::Corruption("truncated message body");
+  if (!r.AtEnd()) return Status::Corruption("trailing bytes after message");
+  return MessagePtr(std::move(msg));
+}
 
-MessagePtr DecodePrepare(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint64_t first_slot = 0;
-  std::vector<Intent> intents;
-  bool expansion = false;
-  LeaderZoneView view;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&first_slot) ||
-      !ReadIntents(r, &intents) || !r.ReadBool(&expansion) ||
-      !ReadView(r, &view)) {
-    return nullptr;
+Result<MessagePtr> Decode(ByteReader& r, uint8_t tag, PartitionId partition) {
+  switch (static_cast<WireType>(tag)) {
+#define DPAXOS_DECODE_CASE(Name) \
+  case WireType::k##Name:        \
+    return DecodeBody<Name##Msg>(r, partition);
+    DPAXOS_WIRE_MESSAGES(DPAXOS_DECODE_CASE)
+#undef DPAXOS_DECODE_CASE
   }
-  return std::make_shared<PrepareMsg>(p, ballot, first_slot,
-                                      std::move(intents), expansion, view);
+  return Status::Corruption("unknown wire type tag");
 }
 
-MessagePtr DecodePromise(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  bool expansion = false;
-  if (!ReadBallot(r, &ballot) || !r.ReadBool(&expansion)) return nullptr;
-  auto msg = std::make_shared<PromiseMsg>(p, ballot, expansion);
-  uint32_t count = 0;
-  if (!r.ReadU32(&count) || count > r.remaining() / 20 + 1) return nullptr;
-  msg->accepted.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!ReadAcceptedEntry(r, &msg->accepted[i])) return nullptr;
-  }
-  if (!ReadIntents(r, &msg->intents) || !ReadView(r, &msg->lz_view) ||
-      !r.ReadU64(&msg->compacted_through)) {
-    return nullptr;
-  }
-  return msg;
-}
-
-MessagePtr DecodePrepareNack(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  if (!ReadBallot(r, &ballot)) return nullptr;
-  auto msg = std::make_shared<PrepareNackMsg>(p, ballot);
-  if (!ReadBallot(r, &msg->promised) || !r.ReadU64(&msg->lease_until) ||
-      !ReadView(r, &msg->lz_view)) {
-    return nullptr;
-  }
-  return msg;
-}
-
-MessagePtr DecodePropose(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint64_t slot = 0;
-  Value value;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&slot) || !ReadValue(r, &value)) {
-    return nullptr;
-  }
-  auto msg = std::make_shared<ProposeMsg>(p, ballot, slot, std::move(value));
-  if (!r.ReadBool(&msg->lease_request) || !r.ReadU64(&msg->lease_until) ||
-      !r.ReadBool(&msg->recovery_complete)) {
-    return nullptr;
-  }
-  return msg;
-}
-
-MessagePtr DecodeAccept(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint64_t slot = 0;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&slot)) return nullptr;
-  auto msg = std::make_shared<AcceptMsg>(p, ballot, slot);
-  if (!r.ReadBool(&msg->lease_vote) || !r.ReadU64(&msg->lease_until)) {
-    return nullptr;
-  }
-  return msg;
-}
-
-MessagePtr DecodeAcceptNack(ByteReader& r, PartitionId p) {
-  Ballot ballot, promised;
-  uint64_t slot = 0;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&slot) ||
-      !ReadBallot(r, &promised)) {
-    return nullptr;
-  }
-  return std::make_shared<AcceptNackMsg>(p, ballot, slot, promised);
-}
-
-MessagePtr DecodeDecide(ByteReader& r, PartitionId p) {
-  uint64_t slot = 0;
-  Value value;
-  if (!r.ReadU64(&slot) || !ReadValue(r, &value)) return nullptr;
-  return std::make_shared<DecideMsg>(p, slot, std::move(value));
-}
-
-MessagePtr DecodeRelinquish(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint64_t next_slot = 0;
-  std::vector<Intent> intents;
-  LeaderZoneView view;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&next_slot) ||
-      !ReadIntents(r, &intents) || !ReadView(r, &view)) {
-    return nullptr;
-  }
-  return std::make_shared<RelinquishMsg>(p, ballot, next_slot,
-                                         std::move(intents), view);
-}
-
-MessagePtr DecodeGcPollReply(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  if (!ReadBallot(r, &ballot)) return nullptr;
-  return std::make_shared<GcPollReplyMsg>(p, ballot);
-}
-
-MessagePtr DecodeGcThreshold(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  if (!ReadBallot(r, &ballot)) return nullptr;
-  return std::make_shared<GcThresholdMsg>(p, ballot);
-}
-
-MessagePtr DecodeLzPrepare(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  Ballot ballot;
-  if (!r.ReadU64(&epoch) || !ReadBallot(r, &ballot)) return nullptr;
-  return std::make_shared<LzPrepareMsg>(p, epoch, ballot);
-}
-
-MessagePtr DecodeLzPromise(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  Ballot ballot;
-  if (!r.ReadU64(&epoch) || !ReadBallot(r, &ballot)) return nullptr;
-  auto msg = std::make_shared<LzPromiseMsg>(p, epoch, ballot);
-  if (!ReadBallot(r, &msg->accepted_ballot) ||
-      !r.ReadU32(&msg->accepted_zone)) {
-    return nullptr;
-  }
-  return msg;
-}
-
-MessagePtr DecodeLzPropose(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  Ballot ballot;
-  uint32_t zone = 0;
-  if (!r.ReadU64(&epoch) || !ReadBallot(r, &ballot) || !r.ReadU32(&zone)) {
-    return nullptr;
-  }
-  return std::make_shared<LzProposeMsg>(p, epoch, ballot, zone);
-}
-
-MessagePtr DecodeLzAccept(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  Ballot ballot;
-  uint32_t zone = 0;
-  if (!r.ReadU64(&epoch) || !ReadBallot(r, &ballot) || !r.ReadU32(&zone)) {
-    return nullptr;
-  }
-  return std::make_shared<LzAcceptMsg>(p, epoch, ballot, zone);
-}
-
-MessagePtr DecodeLzNack(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  Ballot ballot, promised;
-  LeaderZoneView view;
-  if (!r.ReadU64(&epoch) || !ReadBallot(r, &ballot) ||
-      !ReadBallot(r, &promised) || !ReadView(r, &view)) {
-    return nullptr;
-  }
-  return std::make_shared<LzNackMsg>(p, epoch, ballot, promised, view);
-}
-
-MessagePtr DecodeLzTransition(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  uint32_t zone = 0;
-  if (!r.ReadU64(&epoch) || !r.ReadU32(&zone)) return nullptr;
-  return std::make_shared<LzTransitionMsg>(p, epoch, zone);
-}
-
-MessagePtr DecodeLzTransitionAck(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  std::vector<Intent> intents;
-  if (!r.ReadU64(&epoch) || !ReadIntents(r, &intents)) return nullptr;
-  return std::make_shared<LzTransitionAckMsg>(p, epoch, std::move(intents));
-}
-
-MessagePtr DecodeLzStoreIntents(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  uint32_t zone = 0;
-  std::vector<Intent> intents;
-  if (!r.ReadU64(&epoch) || !r.ReadU32(&zone) || !ReadIntents(r, &intents)) {
-    return nullptr;
-  }
-  return std::make_shared<LzStoreIntentsMsg>(p, epoch, zone,
-                                             std::move(intents));
-}
-
-MessagePtr DecodeLzStoreAck(ByteReader& r, PartitionId p) {
-  uint64_t epoch = 0;
-  if (!r.ReadU64(&epoch)) return nullptr;
-  return std::make_shared<LzStoreAckMsg>(p, epoch);
-}
-
-MessagePtr DecodeLzAnnounce(ByteReader& r, PartitionId p) {
-  LeaderZoneView view;
-  if (!ReadView(r, &view)) return nullptr;
-  return std::make_shared<LzAnnounceMsg>(p, view);
-}
-
-MessagePtr DecodeForward(ByteReader& r, PartitionId p) {
-  uint64_t request_id = 0;
-  Value value;
-  if (!r.ReadU64(&request_id) || !ReadValue(r, &value)) return nullptr;
-  return std::make_shared<ForwardMsg>(p, request_id, std::move(value));
-}
-
-MessagePtr DecodeForwardReply(ByteReader& r, PartitionId p) {
-  uint64_t request_id = 0;
-  if (!r.ReadU64(&request_id)) return nullptr;
-  auto msg = std::make_shared<ForwardReplyMsg>(p, request_id);
-  uint8_t code = 0;
-  if (!r.ReadU8(&code) ||
-      code > static_cast<uint8_t>(StatusCode::kInternal) ||
-      !r.ReadU64(&msg->slot) || !r.ReadU32(&msg->leader_hint)) {
-    return nullptr;
-  }
-  msg->code = static_cast<StatusCode>(code);
-  return msg;
-}
-
-MessagePtr DecodeLearnRequest(ByteReader& r, PartitionId p) {
-  uint64_t from_slot = 0;
-  uint32_t max_entries = 0;
-  if (!r.ReadU64(&from_slot) || !r.ReadU32(&max_entries)) return nullptr;
-  return std::make_shared<LearnRequestMsg>(p, from_slot, max_entries);
-}
-
-MessagePtr DecodeLearnReply(ByteReader& r, PartitionId p) {
-  auto msg = std::make_shared<LearnReplyMsg>(p);
-  uint32_t count = 0;
-  if (!r.ReadU64(&msg->from_slot) || !r.ReadU32(&count) ||
-      count > r.remaining() / 24 + 1) {
-    return nullptr;
-  }
-  msg->entries.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!r.ReadU64(&msg->entries[i].slot) ||
-        !ReadValue(r, &msg->entries[i].value)) {
-      return nullptr;
-    }
-  }
-  if (!r.ReadU64(&msg->peer_watermark) || !r.ReadU64(&msg->first_available)) {
-    return nullptr;
-  }
-  return msg;
-}
-
-MessagePtr DecodeFastGrant(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint64_t first_slot = 0;
-  uint32_t count = 0;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&first_slot) ||
-      !r.ReadU32(&count) || count > r.remaining() / 4 + 1) {
-    return nullptr;
-  }
-  std::vector<NodeId> quorum(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!r.ReadU32(&quorum[i])) return nullptr;
-  }
-  return std::make_shared<FastGrantMsg>(p, ballot, first_slot,
-                                        std::move(quorum));
-}
-
-MessagePtr DecodeFastAccept(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint64_t request_id = 0;
-  Value value;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&request_id) ||
-      !ReadValue(r, &value)) {
-    return nullptr;
-  }
-  return std::make_shared<FastAcceptMsg>(p, ballot, request_id,
-                                         std::move(value));
-}
-
-MessagePtr DecodeFastAccepted(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint64_t slot = 0, request_id = 0;
-  uint32_t proposer = 0;
-  Value value;
-  if (!ReadBallot(r, &ballot) || !r.ReadU64(&slot) || !r.ReadU32(&proposer) ||
-      !r.ReadU64(&request_id) || !ReadValue(r, &value)) {
-    return nullptr;
-  }
-  return std::make_shared<FastAcceptedMsg>(p, ballot, slot, proposer,
-                                           request_id, std::move(value));
-}
-
-MessagePtr DecodeFastNack(ByteReader& r, PartitionId p) {
-  Ballot ballot, promised;
-  uint64_t request_id = 0;
-  if (!ReadBallot(r, &ballot) || !ReadBallot(r, &promised) ||
-      !r.ReadU64(&request_id)) {
-    return nullptr;
-  }
-  auto msg = std::make_shared<FastNackMsg>(p, ballot, promised, request_id);
-  if (!r.ReadU32(&msg->leader_hint)) return nullptr;
-  return msg;
-}
-
-MessagePtr DecodeStealRequest(ByteReader& r, PartitionId p) {
-  Ballot ballot;
-  uint32_t zone = 0;
-  bool invite = false;
-  if (!ReadBallot(r, &ballot) || !r.ReadU32(&zone) || !r.ReadBool(&invite)) {
-    return nullptr;
-  }
-  return std::make_shared<StealRequestMsg>(p, ballot, zone, invite);
-}
-
-MessagePtr DecodeOwnershipGrant(ByteReader& r, PartitionId p) {
-  bool granted = false;
-  uint8_t reason = 0;
-  Ballot ballot;
-  uint64_t next_slot = 0, decided = 0;
-  bool snapshot_ready = false;
-  uint32_t leader_hint = 0;
-  if (!r.ReadBool(&granted) || !r.ReadU8(&reason) ||
-      reason > static_cast<uint8_t>(StealRefusal::kFastGrant) ||
-      !ReadBallot(r, &ballot) || !r.ReadU64(&next_slot) ||
-      !r.ReadU64(&decided) || !r.ReadBool(&snapshot_ready) ||
-      !r.ReadU32(&leader_hint)) {
-    return nullptr;
-  }
-  return std::make_shared<OwnershipGrantMsg>(
-      p, granted, static_cast<StealRefusal>(reason), ballot, next_slot,
-      decided, snapshot_ready, leader_hint);
-}
-
-MessagePtr DecodeSnapshotRequest(ByteReader& r, PartitionId p) {
-  uint64_t offset = 0;
-  if (!r.ReadU64(&offset)) return nullptr;
-  return std::make_shared<SnapshotRequestMsg>(p, offset);
-}
-
-MessagePtr DecodeSnapshotChunk(ByteReader& r, PartitionId p) {
-  uint64_t through = 0, offset = 0, total = 0;
-  std::string data;
-  if (!r.ReadU64(&through) || !r.ReadU64(&offset) || !r.ReadU64(&total) ||
-      !r.ReadString(&data)) {
-    return nullptr;
-  }
-  return std::make_shared<SnapshotChunkMsg>(p, through, offset, total,
-                                            std::move(data));
-}
-
-/// tag (u8) + partition (u32).
-constexpr size_t kWireHeaderBytes = 5;
+#pragma GCC diagnostic pop
 
 }  // namespace
 
@@ -857,123 +95,7 @@ Result<MessagePtr> DeserializeMessage(std::string_view bytes) {
   if (!r.ReadU8(&tag) || !r.ReadU32(&partition)) {
     return Status::Corruption("truncated wire header");
   }
-  MessagePtr msg;
-  switch (static_cast<WireType>(tag)) {
-    case WireType::kPrepare:
-      msg = DecodePrepare(r, partition);
-      break;
-    case WireType::kPromise:
-      msg = DecodePromise(r, partition);
-      break;
-    case WireType::kPrepareNack:
-      msg = DecodePrepareNack(r, partition);
-      break;
-    case WireType::kPropose:
-      msg = DecodePropose(r, partition);
-      break;
-    case WireType::kAccept:
-      msg = DecodeAccept(r, partition);
-      break;
-    case WireType::kAcceptNack:
-      msg = DecodeAcceptNack(r, partition);
-      break;
-    case WireType::kDecide:
-      msg = DecodeDecide(r, partition);
-      break;
-    case WireType::kHandoffRequest:
-      msg = std::make_shared<HandoffRequestMsg>(partition);
-      break;
-    case WireType::kRelinquish:
-      msg = DecodeRelinquish(r, partition);
-      break;
-    case WireType::kGcPoll:
-      msg = std::make_shared<GcPollMsg>(partition);
-      break;
-    case WireType::kGcPollReply:
-      msg = DecodeGcPollReply(r, partition);
-      break;
-    case WireType::kGcThreshold:
-      msg = DecodeGcThreshold(r, partition);
-      break;
-    case WireType::kLzPrepare:
-      msg = DecodeLzPrepare(r, partition);
-      break;
-    case WireType::kLzPromise:
-      msg = DecodeLzPromise(r, partition);
-      break;
-    case WireType::kLzPropose:
-      msg = DecodeLzPropose(r, partition);
-      break;
-    case WireType::kLzAccept:
-      msg = DecodeLzAccept(r, partition);
-      break;
-    case WireType::kLzNack:
-      msg = DecodeLzNack(r, partition);
-      break;
-    case WireType::kLzTransition:
-      msg = DecodeLzTransition(r, partition);
-      break;
-    case WireType::kLzTransitionAck:
-      msg = DecodeLzTransitionAck(r, partition);
-      break;
-    case WireType::kLzStoreIntents:
-      msg = DecodeLzStoreIntents(r, partition);
-      break;
-    case WireType::kLzStoreAck:
-      msg = DecodeLzStoreAck(r, partition);
-      break;
-    case WireType::kLzAnnounce:
-      msg = DecodeLzAnnounce(r, partition);
-      break;
-    case WireType::kForward:
-      msg = DecodeForward(r, partition);
-      break;
-    case WireType::kForwardReply:
-      msg = DecodeForwardReply(r, partition);
-      break;
-    case WireType::kLearnRequest:
-      msg = DecodeLearnRequest(r, partition);
-      break;
-    case WireType::kLearnReply:
-      msg = DecodeLearnReply(r, partition);
-      break;
-    case WireType::kSnapshotRequest:
-      msg = DecodeSnapshotRequest(r, partition);
-      break;
-    case WireType::kSnapshotChunk:
-      msg = DecodeSnapshotChunk(r, partition);
-      break;
-    case WireType::kHeartbeat: {
-      Ballot ballot;
-      if (ReadBallot(r, &ballot)) {
-        msg = std::make_shared<HeartbeatMsg>(partition, ballot);
-      }
-      break;
-    }
-    case WireType::kFastGrant:
-      msg = DecodeFastGrant(r, partition);
-      break;
-    case WireType::kFastAccept:
-      msg = DecodeFastAccept(r, partition);
-      break;
-    case WireType::kFastAccepted:
-      msg = DecodeFastAccepted(r, partition);
-      break;
-    case WireType::kFastNack:
-      msg = DecodeFastNack(r, partition);
-      break;
-    case WireType::kStealRequest:
-      msg = DecodeStealRequest(r, partition);
-      break;
-    case WireType::kOwnershipGrant:
-      msg = DecodeOwnershipGrant(r, partition);
-      break;
-    default:
-      return Status::Corruption("unknown wire type tag");
-  }
-  if (msg == nullptr) return Status::Corruption("truncated message body");
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes after message");
-  return msg;
+  return Decode(r, tag, partition);
 }
 
 }  // namespace dpaxos

@@ -1,16 +1,16 @@
 // Wire format: serialize/deserialize every protocol message.
 //
-// The simulator passes message objects by pointer, so serialization is
-// not needed for correctness there — but a production port of Transport
-// to real sockets needs a codec, and exercising it end-to-end catches
-// fields that would silently not survive the wire. SimTransport can be
-// configured (SimTransportOptions::validate_wire_codec) to round-trip
-// every remote message through this codec, so the entire protocol test
-// suite doubles as a codec conformance test.
+// Every peer frame of the real-network runtime (TcpTransport) goes
+// through this codec. The simulator passes message objects by pointer,
+// but SimTransport can be configured
+// (SimTransportOptions::validate_wire_codec) to round-trip every remote
+// message through it, so the entire protocol test suite doubles as a
+// codec conformance test.
 //
-// The wire tag of each type lives with the messages themselves (WireType
-// in paxos/messages.h, returned by Message::wire_tag()); this header owns
-// only the encode/decode entry points.
+// A message is its tag (u8, WireType in paxos/messages.h, returned by
+// Message::wire_tag()), its partition (u32), then the fields of its
+// layout (paxos/wire_layout.h). This header owns only the encode/decode
+// entry points.
 #ifndef DPAXOS_PAXOS_WIRE_H_
 #define DPAXOS_PAXOS_WIRE_H_
 

@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "common/logging.h"
+#include "smr/log_applier.h"
 #include "smr/snapshot.h"
 #include "txn/transaction.h"
 
@@ -210,6 +211,20 @@ std::string EncodeKvSnapshot(SlotId through_slot, const KvStateMachine& kv) {
   kv.SerializeFull(&envelope);
   FinishSnapshot(start, &envelope);
   return envelope;
+}
+
+Status InstallKvSnapshot(SlotId through, std::string_view envelope,
+                         KvStateMachine* kv, LogApplier* applier) {
+  Result<Snapshot> snap = DecodeSnapshot(envelope);
+  if (!snap.ok()) return snap.status();
+  if (snap->through_slot != through) {
+    return Status::Corruption("snapshot coverage mismatch");
+  }
+  if (through <= applier->applied_watermark()) return Status::OK();
+  Status restored = kv->RestoreFull(snap->payload);
+  if (!restored.ok()) return restored;
+  applier->FastForwardTo(through);
+  return Status::OK();
 }
 
 uint64_t KvStateMachine::Checksum() const {

@@ -129,6 +129,19 @@ class KvStateMachine final : public StateMachine {
 /// the envelope's one buffer.
 std::string EncodeKvSnapshot(SlotId through_slot, const KvStateMachine& kv);
 
+class LogApplier;
+
+/// Installs a snapshot envelope covering the slots below `through` into
+/// `kv` and moves `applier` past them. Serves both a replica's snapshot
+/// installer hook and a node's restore of its durable image. Corruption
+/// if the envelope fails its checksum or covers other slots than
+/// `through` (the chunk messages carry `through` unauthenticated; the
+/// copy in the envelope is CRC-protected). An image `applier` has
+/// already passed holds nothing new and is skipped (OK): restoring it
+/// would roll the state back under a watermark that stays put.
+Status InstallKvSnapshot(SlotId through, std::string_view envelope,
+                         KvStateMachine* kv, LogApplier* applier);
+
 }  // namespace dpaxos
 
 #endif  // DPAXOS_SMR_KV_STORE_H_

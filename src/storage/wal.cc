@@ -9,6 +9,7 @@
 #include "common/codec.h"
 #include "common/crc32.h"
 #include "common/perf_counters.h"
+#include "paxos/wire_layout.h"
 
 namespace dpaxos {
 
@@ -34,58 +35,12 @@ enum RecordTag : uint8_t {
   kTagCheckpoint = 10,
 };
 
-void PutBallot(ByteWriter& w, const Ballot& b) {
-  w.PutU64(b.round);
-  w.PutU32(b.node);
-}
-
-bool ReadBallot(ByteReader& r, Ballot* b) {
-  return r.ReadU64(&b->round) && r.ReadU32(&b->node);
-}
-
-void PutEntry(ByteWriter& w, const AcceptedEntry& e) {
-  w.PutU64(e.slot);
-  PutBallot(w, e.ballot);
-  w.PutBool(e.fast);
-  w.PutU64(e.value.id);
-  w.PutU64(e.value.size_bytes);
-  w.PutString(e.value.payload);
-}
-
-bool ReadEntry(ByteReader& r, AcceptedEntry* e) {
-  return r.ReadU64(&e->slot) && ReadBallot(r, &e->ballot) &&
-         r.ReadBool(&e->fast) && r.ReadU64(&e->value.id) &&
-         r.ReadU64(&e->value.size_bytes) && r.ReadString(&e->value.payload);
-}
-
-void PutIntent(ByteWriter& w, const Intent& i) {
-  PutBallot(w, i.ballot);
-  w.PutU32(i.leader);
-  w.PutU32(static_cast<uint32_t>(i.quorum.size()));
-  for (NodeId n : i.quorum) w.PutU32(n);
-}
-
-bool ReadIntent(ByteReader& r, Intent* i) {
-  uint32_t count = 0;
-  if (!ReadBallot(r, &i->ballot) || !r.ReadU32(&i->leader) ||
-      !r.ReadU32(&count)) {
-    return false;
-  }
-  if (count > r.remaining() / 4) return false;
-  i->quorum.resize(count);
-  for (uint32_t k = 0; k < count; ++k) {
-    if (!r.ReadU32(&i->quorum[k])) return false;
-  }
-  return true;
-}
-
-std::string BodyHeader(RecordTag tag, PartitionId partition) {
-  std::string body;
-  ByteWriter w(&body);
-  w.PutU8(tag);
-  w.PutU32(partition);
-  return body;
-}
+/// An accepted entry in a WAL record: the fast flag precedes the value
+/// (the wire's AcceptedEntry layout puts it last).
+template <typename E>
+struct WalEntry {
+  E& entry;
+};
 
 Status CorruptionAt(const char* what, uint64_t seq, size_t offset) {
   return Status::Corruption(std::string("wal: ") + what + " in segment " +
@@ -95,6 +50,14 @@ Status CorruptionAt(const char* what, uint64_t seq, size_t offset) {
 
 }  // namespace
 
+template <typename E>
+struct WireLayout<WalEntry<E>> {
+  template <typename V, typename M>
+  static bool Visit(V& v, M& m) {
+    return v(m.entry.slot, m.entry.ballot, m.entry.fast, m.entry.value);
+  }
+};
+
 // ---------------------------------------------------------------------
 // WalJournal: per-partition journal bound to an AcceptorRecord.
 
@@ -103,122 +66,88 @@ class WalJournal : public AcceptorJournal {
   WalJournal(Wal* wal, PartitionId partition)
       : wal_(wal), partition_(partition) {}
 
-  void Promised(const Ballot& b) override {
-    std::string body = BodyHeader(kTagPromise, partition_);
-    ByteWriter w(&body);
-    PutBallot(w, b);
-    wal_->AppendRecord(partition_, std::move(body));
-  }
+  void Promised(const Ballot& b) override { Append(kTagPromise, b); }
 
   void Accepted(const AcceptedEntry& entry) override {
-    std::string body = BodyHeader(kTagAccept, partition_);
-    ByteWriter w(&body);
-    PutEntry(w, entry);
-    wal_->AppendRecord(partition_, std::move(body));
+    Append(kTagAccept, WalEntry{entry});
   }
 
   void IntentsChanged(const std::vector<Intent>& intents) override {
-    std::string body = BodyHeader(kTagIntents, partition_);
-    ByteWriter w(&body);
-    w.PutU32(static_cast<uint32_t>(intents.size()));
-    for (const Intent& i : intents) PutIntent(w, i);
-    wal_->AppendRecord(partition_, std::move(body));
+    Append(kTagIntents, intents);
   }
 
   void LeaseGranted(const Ballot& b, Timestamp until) override {
-    std::string body = BodyHeader(kTagLease, partition_);
-    ByteWriter w(&body);
-    PutBallot(w, b);
-    w.PutU64(until);
-    wal_->AppendRecord(partition_, std::move(body));
+    Append(kTagLease, b, until);
   }
 
   void RelinquishConsumed(const Ballot& b) override {
-    std::string body = BodyHeader(kTagRelinquish, partition_);
-    ByteWriter w(&body);
-    PutBallot(w, b);
-    wal_->AppendRecord(partition_, std::move(body));
+    Append(kTagRelinquish, b);
   }
 
   void GcBallots(const Ballot& max_propose,
                  const Ballot& max_recovered) override {
-    std::string body = BodyHeader(kTagGcBallots, partition_);
-    ByteWriter w(&body);
-    PutBallot(w, max_propose);
-    PutBallot(w, max_recovered);
-    wal_->AppendRecord(partition_, std::move(body));
+    Append(kTagGcBallots, max_propose, max_recovered);
   }
 
   void SnapshotStored(SlotId through, std::string_view envelope) override {
-    std::string body = BodyHeader(kTagSnapshot, partition_);
-    ByteWriter w(&body);
-    w.PutU64(through);
-    w.PutString(envelope);
-    wal_->AppendRecord(partition_, std::move(body));
+    Append(kTagSnapshot, through, envelope);
   }
 
   void PrefixReleased(SlotId through) override {
-    std::string body = BodyHeader(kTagRelease, partition_);
+    Append(kTagRelease, through);
+  }
+
+  void SnapshotDropped() override { Append(kTagSnapshotDrop); }
+
+ private:
+  /// One record: the tag and partition, then `fields` in order.
+  template <typename... F>
+  void Append(RecordTag tag, const F&... fields) {
+    std::string body;
     ByteWriter w(&body);
-    w.PutU64(through);
+    WireOut<ByteWriter> out(w);
+    out(static_cast<uint8_t>(tag), partition_, fields...);
     wal_->AppendRecord(partition_, std::move(body));
   }
 
-  void SnapshotDropped() override {
-    wal_->AppendRecord(partition_, BodyHeader(kTagSnapshotDrop, partition_));
-  }
-
- private:
   Wal* wal_;
   PartitionId partition_;
 };
 
 namespace {
 
-/// Full-image checkpoint body for one record. sync_writes rides along so
-/// the metric survives restarts.
+/// A checkpoint's fields after its header, up to the count of the
+/// accepted entries that follow them. sync_writes rides along so the
+/// metric survives restarts.
+template <typename V, typename R>
+bool CheckpointFields(V& v, R& rec, uint32_t& accepted) {
+  return v(rec.promised, rec.max_propose_ballot, rec.max_recovered_ballot,
+           rec.relinquish_consumed, rec.lease_ballot, rec.lease_until,
+           rec.snapshot_through, rec.compacted_through, rec.sync_writes,
+           rec.snapshot_bytes, rec.intents, accepted);
+}
+
+/// Full-image checkpoint body for one record.
 std::string EncodeCheckpoint(PartitionId partition, const AcceptorRecord& rec) {
-  std::string body = BodyHeader(kTagCheckpoint, partition);
+  std::string body;
   ByteWriter w(&body);
-  PutBallot(w, rec.promised);
-  PutBallot(w, rec.max_propose_ballot);
-  PutBallot(w, rec.max_recovered_ballot);
-  PutBallot(w, rec.relinquish_consumed);
-  PutBallot(w, rec.lease_ballot);
-  w.PutU64(rec.lease_until);
-  w.PutU64(rec.snapshot_through);
-  w.PutU64(rec.compacted_through);
-  w.PutU64(rec.sync_writes);
-  w.PutString(rec.snapshot_bytes);
-  w.PutU32(static_cast<uint32_t>(rec.intents.size()));
-  for (const Intent& i : rec.intents) PutIntent(w, i);
+  WireOut<ByteWriter> out(w);
   uint32_t accepted = static_cast<uint32_t>(rec.accepted.size());
-  w.PutU32(accepted);
-  rec.accepted.ForEachFrom(0, [&](const AcceptedEntry& e) { PutEntry(w, e); });
+  out(static_cast<uint8_t>(kTagCheckpoint), partition);
+  CheckpointFields(out, rec, accepted);
+  rec.accepted.ForEachFrom(0, [&](const AcceptedEntry& e) {
+    out(WalEntry{e});
+  });
   return body;
 }
 
-bool DecodeCheckpoint(ByteReader& r, AcceptorRecord* rec) {
+bool DecodeCheckpoint(WireIn& in, AcceptorRecord* rec) {
   *rec = AcceptorRecord{};
-  uint32_t intents = 0, accepted = 0;
-  if (!ReadBallot(r, &rec->promised) ||
-      !ReadBallot(r, &rec->max_propose_ballot) ||
-      !ReadBallot(r, &rec->max_recovered_ballot) ||
-      !ReadBallot(r, &rec->relinquish_consumed) ||
-      !ReadBallot(r, &rec->lease_ballot) || !r.ReadU64(&rec->lease_until) ||
-      !r.ReadU64(&rec->snapshot_through) ||
-      !r.ReadU64(&rec->compacted_through) || !r.ReadU64(&rec->sync_writes) ||
-      !r.ReadString(&rec->snapshot_bytes) || !r.ReadU32(&intents)) {
-    return false;
-  }
-  rec->intents.resize(intents);
-  for (uint32_t k = 0; k < intents; ++k) {
-    if (!ReadIntent(r, &rec->intents[k])) return false;
-  }
-  if (!r.ReadU32(&accepted)) return false;
+  uint32_t accepted = 0;
+  if (!CheckpointFields(in, *rec, accepted)) return false;
   for (uint32_t k = 0; k < accepted; ++k) {
     AcceptedEntry e;
-    if (!ReadEntry(r, &e)) return false;
+    if (!in(WalEntry{e})) return false;
     rec->accepted.Put(e.slot, std::move(e));
   }
   // Entries below the compaction watermark never appear in a checkpoint
@@ -405,72 +334,60 @@ Status Wal::ReplaySegment(const std::string& bytes, uint64_t seq, bool sealed,
 
 Status Wal::ApplyBody(std::string_view body) {
   ByteReader r(body);
+  WireIn in(r);
   uint8_t tag = 0;
   PartitionId partition = 0;
-  if (!r.ReadU8(&tag) || !r.ReadU32(&partition)) {
-    return Status::Corruption("record header");
-  }
+  if (!in(tag, partition)) return Status::Corruption("record header");
   AcceptorRecord* rec = RecoveredFor(partition);
+  bool ok = true;
   switch (tag) {
     case kTagPromise:
-      if (!ReadBallot(r, &rec->promised)) break;
-      return Status::OK();
+      ok = in(rec->promised);
+      break;
     case kTagAccept: {
       AcceptedEntry e;
-      if (!ReadEntry(r, &e)) break;
-      rec->accepted.Put(e.slot, std::move(e));
-      return Status::OK();
+      ok = in(WalEntry{e});
+      if (ok) rec->accepted.Put(e.slot, std::move(e));
+      break;
     }
     case kTagIntents: {
-      uint32_t count = 0;
-      if (!r.ReadU32(&count)) break;
-      std::vector<Intent> intents(count);
-      bool ok = true;
-      for (uint32_t k = 0; k < count && ok; ++k) {
-        ok = ReadIntent(r, &intents[k]);
-      }
-      if (!ok) break;
-      rec->intents = std::move(intents);
-      return Status::OK();
+      std::vector<Intent> intents;
+      ok = in(intents);
+      if (ok) rec->intents = std::move(intents);
+      break;
     }
     case kTagLease:
-      if (!ReadBallot(r, &rec->lease_ballot) || !r.ReadU64(&rec->lease_until)) {
-        break;
-      }
-      return Status::OK();
+      ok = in(rec->lease_ballot, rec->lease_until);
+      break;
     case kTagRelinquish:
-      if (!ReadBallot(r, &rec->relinquish_consumed)) break;
-      return Status::OK();
+      ok = in(rec->relinquish_consumed);
+      break;
     case kTagGcBallots:
-      if (!ReadBallot(r, &rec->max_propose_ballot) ||
-          !ReadBallot(r, &rec->max_recovered_ballot)) {
-        break;
-      }
-      return Status::OK();
+      ok = in(rec->max_propose_ballot, rec->max_recovered_ballot);
+      break;
     case kTagSnapshot:
-      if (!r.ReadU64(&rec->snapshot_through) ||
-          !r.ReadString(&rec->snapshot_bytes)) {
-        break;
-      }
-      return Status::OK();
+      ok = in(rec->snapshot_through, rec->snapshot_bytes);
+      break;
     case kTagRelease: {
       SlotId through = 0;
-      if (!r.ReadU64(&through)) break;
-      rec->accepted.ReleaseBelow(through);
-      rec->compacted_through = std::max(rec->compacted_through, through);
-      return Status::OK();
+      ok = in(through);
+      if (ok) {
+        rec->accepted.ReleaseBelow(through);
+        rec->compacted_through = std::max(rec->compacted_through, through);
+      }
+      break;
     }
     case kTagSnapshotDrop:
       rec->snapshot_through = 0;
       rec->snapshot_bytes.clear();
-      return Status::OK();
+      break;
     case kTagCheckpoint:
-      if (!DecodeCheckpoint(r, rec)) break;
-      return Status::OK();
+      ok = DecodeCheckpoint(in, rec);
+      break;
     default:
       return Status::Corruption("unknown record tag");
   }
-  return Status::Corruption("truncated record body");
+  return ok ? Status::OK() : Status::Corruption("truncated record body");
 }
 
 AcceptorRecord* Wal::RecoveredFor(PartitionId partition) {

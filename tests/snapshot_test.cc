@@ -2,7 +2,8 @@
 // full-state serialization it carries: round-trips, exhaustive
 // corruption detection (every single-bit flip, every truncation), and
 // install-then-lossy-restart consistency of the KvStateMachine payload
-// including the per-client dedup windows.
+// including the per-client dedup windows, and the one installer every
+// server's snapshot hook calls (InstallKvSnapshot).
 #include "smr/snapshot.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "common/status.h"
 #include "smr/kv_store.h"
+#include "smr/log_applier.h"
 #include "txn/transaction.h"
 
 namespace dpaxos {
@@ -249,6 +251,50 @@ TEST(KvSnapshotTest, InstallThenResidualReplayConverges) {
 
   EXPECT_EQ(restarted.Checksum(), primary.Checksum());
   EXPECT_EQ(restarted.applied_commands(), primary.applied_commands());
+}
+
+// The installer both servers' snapshot hooks call: only an intact
+// envelope that covers the announced slots and reaches past the applier
+// installs. Anything else leaves the state and the applier where they
+// were.
+TEST(KvSnapshotTest, InstallerTakesOnlyAFreshMatchingIntactImage) {
+  KvStateMachine source;
+  source.Apply(0, PutValue(1, "k", "image"));
+  const std::string image = EncodeKvSnapshot(/*through_slot=*/10, source);
+
+  KvStateMachine kv;
+  LogApplier applier(&kv);
+  for (SlotId slot = 0; slot < 4; ++slot) {
+    applier.OnDecided(slot, Value::Of(slot + 1, PutValue(slot + 1, "k",
+                                                         "live")));
+  }
+  ASSERT_EQ(applier.applied_watermark(), 4u);
+  const auto unchanged = [&] {
+    EXPECT_EQ(kv.Get("k"), "live");
+    EXPECT_EQ(applier.applied_watermark(), 4u);
+  };
+
+  // Stale: the applier has already passed every slot the image covers.
+  EXPECT_TRUE(
+      InstallKvSnapshot(3, EncodeKvSnapshot(3, source), &kv, &applier).ok());
+  unchanged();
+
+  // Mismatched: the transfer announced other slots than the envelope's.
+  EXPECT_EQ(InstallKvSnapshot(12, image, &kv, &applier).code(),
+            StatusCode::kCorruption);
+  unchanged();
+
+  // Corrupt: one flipped bit fails the checksum.
+  std::string corrupt = image;
+  corrupt[corrupt.size() / 2] ^= 0x01;
+  EXPECT_EQ(InstallKvSnapshot(10, corrupt, &kv, &applier).code(),
+            StatusCode::kCorruption);
+  unchanged();
+
+  // Good.
+  ASSERT_TRUE(InstallKvSnapshot(10, image, &kv, &applier).ok());
+  EXPECT_EQ(kv.Get("k"), "image");
+  EXPECT_EQ(applier.applied_watermark(), 10u);
 }
 
 }  // namespace

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
+#include "common/crc32.h"
 #include "paxos/acceptor.h"
 #include "sim/simulator.h"
 #include "storage/env.h"
@@ -577,6 +579,48 @@ TEST(WalTest, BitFlipInSealedSegmentAlwaysCorruption) {
         << "flip at " << offset << " in a SEALED segment was accepted";
     EXPECT_TRUE(wal.status().code() == StatusCode::kCorruption)
         << "flip at " << offset << ": " << wal.status().ToString();
+  }
+}
+
+// A checksummed record whose intent count no remaining bytes can hold:
+// replay refuses it as Corruption before it sizes a vector from the
+// count, in an intents record and in a checkpoint alike.
+TEST(WalTest, HostileIntentCountIsCorruption) {
+  Env* env = PosixEnv();
+  constexpr uint8_t kTagIntents = 3;
+  constexpr uint8_t kTagCheckpoint = 10;
+  for (const uint8_t tag : {kTagIntents, kTagCheckpoint}) {
+    const std::string dir = FreshDir("hostile_" + std::to_string(tag));
+    OpenOrDie(env, dir, WalOptions{});  // MANIFEST and an empty segment 1
+    std::string body;
+    ByteWriter w(&body);
+    w.PutU8(tag);
+    w.PutU32(0);  // partition
+    if (tag == kTagCheckpoint) {
+      for (int ballot = 0; ballot < 5; ++ballot) {  // promised..lease_ballot
+        w.PutU64(1);
+        w.PutU32(1);
+      }
+      // lease_until, snapshot_through, compacted_through, sync_writes
+      for (int field = 0; field < 4; ++field) w.PutU64(1);
+      w.PutString("");  // snapshot_bytes
+    }
+    w.PutU32(0xFFFFFFFFu);  // intent count
+    std::string frame;
+    ByteWriter f(&frame);
+    f.PutU32(static_cast<uint32_t>(body.size()));
+    f.PutU32(Crc32(body));
+    frame += body;
+    auto segment =
+        env->NewWritableFile(dir + "/" + Wal::SegmentName(1), false);
+    ASSERT_TRUE(segment.ok());
+    ASSERT_TRUE(segment.value()->Append(frame).ok());
+    ASSERT_TRUE(segment.value()->Close().ok());
+
+    auto wal = Wal::Open(env, dir, WalOptions{}, nullptr);
+    ASSERT_FALSE(wal.ok()) << "tag " << int{tag};
+    EXPECT_EQ(wal.status().code(), StatusCode::kCorruption)
+        << "tag " << int{tag} << ": " << wal.status().ToString();
   }
 }
 

@@ -19,99 +19,24 @@
 #include "net/tcp/framing.h"
 #include "paxos/messages.h"
 #include "paxos/wire.h"
+#include "wire_specimens.h"
 
 namespace dpaxos {
 namespace {
 
-Intent SampleIntent(uint64_t round, NodeId leader) {
-  return Intent{Ballot{round, leader}, leader, {leader, leader + 1}};
-}
-
-// One serialized specimen per interesting message shape: nested vectors,
-// large payloads, optional sections, empty collections.
+// Every message type twice: its specimen (tests/wire_specimens.h), with
+// every field set and every collection filled, and the message built
+// from its partition alone, with every field at its default and every
+// collection empty.
 std::vector<std::string> Corpus() {
   std::vector<std::string> corpus;
-  LeaderZoneView view;
-  view.epoch = 3;
-  view.current = 2;
-  view.next = 5;
-
-  PrepareMsg prepare(7, Ballot{42, 3}, 17,
-                     {SampleIntent(42, 3), SampleIntent(41, 9)}, true, view);
-  corpus.push_back(SerializeMessage(prepare));
-
-  PromiseMsg promise(1, Ballot{9, 2}, false);
-  promise.accepted.push_back(
-      AcceptedEntry{5, Ballot{8, 1}, Value::Of(77, "payload\x00bytes")});
-  promise.accepted.push_back(
-      AcceptedEntry{6, Ballot{8, 1}, Value::Of(78, "fastvote"), true});
-  promise.intents.push_back(SampleIntent(7, 4));
-  promise.lz_view = view;
-  corpus.push_back(SerializeMessage(promise));
-
-  ProposeMsg propose(2, Ballot{5, 0}, 9, Value::Synthetic(123, 4096));
-  propose.lease_request = true;
-  propose.lease_until = 999'999;
-  corpus.push_back(SerializeMessage(propose));
-
-  AcceptMsg accept(2, Ballot{5, 0}, 9);
-  accept.lease_vote = true;
-  corpus.push_back(SerializeMessage(accept));
-
-  DecideMsg decide(0, 3, Value::Of(1, std::string(200, 'x')));
-  corpus.push_back(SerializeMessage(decide));
-
-  ForwardMsg forward(0, 77, Value::Of(9, "fwd"));
-  corpus.push_back(SerializeMessage(forward));
-
-  LearnReplyMsg learn(0);
-  learn.from_slot = 10;
-  learn.peer_watermark = 40;
-  for (SlotId s = 10; s < 20; ++s) {
-    learn.entries.push_back(DecidedEntryWire{s, Value::Of(s, "entry")});
+  for (const MessagePtr& msg : WireSpecimens()) {
+    corpus.push_back(SerializeMessage(*msg));
   }
-  corpus.push_back(SerializeMessage(learn));
-
-  HeartbeatMsg heartbeat(0, Ballot{4, 4});
-  corpus.push_back(SerializeMessage(heartbeat));
-
-  SnapshotRequestMsg snap_req(3, /*offset=*/65536);
-  corpus.push_back(SerializeMessage(snap_req));
-
-  SnapshotChunkMsg snap_chunk(3, /*through_slot=*/500, /*offset=*/4096,
-                              /*total_bytes=*/1 << 20,
-                              std::string(512, '\xAB'));
-  corpus.push_back(SerializeMessage(snap_chunk));
-
-  // Fast-path messages (tags 31-34): the grant carries a NodeId vector
-  // (length-prefixed), accept/accepted carry full values, and the
-  // promise specimen above already covers the fast flag on entries.
-  FastGrantMsg fast_grant(2, Ballot{7, 1}, 40, {1, 4, 9, 12});
-  corpus.push_back(SerializeMessage(fast_grant));
-
-  FastAcceptMsg fast_accept(2, Ballot{7, 1}, 55,
-                            Value::Of(9, std::string(300, 'f')));
-  corpus.push_back(SerializeMessage(fast_accept));
-
-  FastAcceptedMsg fast_accepted(2, Ballot{7, 1}, 41, 4, 55,
-                                Value::Of(9, "fastv"));
-  corpus.push_back(SerializeMessage(fast_accepted));
-
-  FastNackMsg fast_nack(2, Ballot{7, 1}, Ballot{8, 2}, 55);
-  fast_nack.leader_hint = 3;
-  corpus.push_back(SerializeMessage(fast_nack));
-
-  // Ownership steal messages (tags 35-36): the request is the smallest
-  // flag-bearing message, the grant carries an enum byte the decoder
-  // range-checks.
-  StealRequestMsg steal(1, Ballot{9, 3}, /*zone=*/4, /*inv=*/false);
-  corpus.push_back(SerializeMessage(steal));
-
-  OwnershipGrantMsg grant(1, /*g=*/true, StealRefusal::kNone, Ballot{9, 3},
-                          /*next=*/70, /*decided=*/69, /*snap=*/true,
-                          /*hint=*/2);
-  corpus.push_back(SerializeMessage(grant));
-
+#define DPAXOS_DEFAULT_SPECIMEN(Name) \
+  corpus.push_back(SerializeMessage(Name##Msg(7)));
+  DPAXOS_WIRE_MESSAGES(DPAXOS_DEFAULT_SPECIMEN)
+#undef DPAXOS_DEFAULT_SPECIMEN
   return corpus;
 }
 

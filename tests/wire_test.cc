@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <type_traits>
 
 #include "common/random.h"
 #include "harness/cluster.h"
 #include "paxos/wire.h"
+#include "paxos/wire_layout.h"
+#include "wire_specimens.h"
 
 namespace dpaxos {
 namespace {
@@ -324,6 +328,77 @@ TEST(WireTest, DecodeFuzzNeverCrashes) {
       // Anything that decodes must re-encode identically.
       EXPECT_EQ(SerializeMessage(*r.value()), garbage);
     }
+  }
+}
+
+// Walks a message's fields through its layout and flags every one left
+// at zero, false or empty.
+class NonDefaultCheck {
+ public:
+  explicit NonDefaultCheck(const char* type) : type_(type) {}
+
+  template <typename... F>
+  bool operator()(const F&... fields) {
+    (Check(fields), ...);
+    return true;
+  }
+
+ private:
+  template <typename T>
+  void Check(const T& v) {
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      EXPECT_NE(v, T{}) << type_ << " field " << field_;
+      ++field_;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      EXPECT_FALSE(v.empty()) << type_ << " field " << field_;
+      ++field_;
+    } else if constexpr (kIsWireVector<T>) {
+      EXPECT_FALSE(v.empty()) << type_ << " field " << field_;
+      for (const auto& item : v) Check(item);
+    } else {
+      WireLayout<T>::Visit(*this, v);
+    }
+  }
+
+  const char* type_;
+  int field_ = 0;
+};
+
+// The message list, the specimens and the decoder agree: every listed
+// type has a specimen with every field set, and every other tag byte,
+// retired tag 28 included, decodes as unknown.
+TEST(WireTest, EveryListedTypeHasAFullSpecimenAndNoOtherTagDecodes) {
+  std::set<uint8_t> listed;
+#define DPAXOS_LIST_TAG(Name) \
+  listed.insert(static_cast<uint8_t>(WireType::k##Name));
+  DPAXOS_WIRE_MESSAGES(DPAXOS_LIST_TAG)
+#undef DPAXOS_LIST_TAG
+  EXPECT_EQ(listed.size(), 35u);
+
+  std::set<uint8_t> covered;
+  for (const MessagePtr& msg : WireSpecimens()) {
+    covered.insert(msg->wire_tag());
+    EXPECT_NE(static_cast<const PaxosMessage&>(*msg).partition, 0u);
+    NonDefaultCheck check(msg->TypeName());
+    switch (static_cast<WireType>(msg->wire_tag())) {
+#define DPAXOS_CHECK_SPECIMEN(Name)             \
+  case WireType::k##Name:                       \
+    check(static_cast<const Name##Msg&>(*msg)); \
+    break;
+      DPAXOS_WIRE_MESSAGES(DPAXOS_CHECK_SPECIMEN)
+#undef DPAXOS_CHECK_SPECIMEN
+    }
+  }
+  EXPECT_EQ(covered, listed);
+
+  for (int tag = 0; tag < 256; ++tag) {
+    if (listed.count(static_cast<uint8_t>(tag)) != 0) continue;
+    std::string bytes(5, '\0');
+    bytes[0] = static_cast<char>(tag);
+    Result<MessagePtr> decoded = DeserializeMessage(bytes);
+    ASSERT_FALSE(decoded.ok()) << "tag " << tag;
+    EXPECT_EQ(decoded.status().message(), "unknown wire type tag")
+        << "tag " << tag;
   }
 }
 
